@@ -13,99 +13,53 @@ step() {
     echo "==> $1"
 }
 
-step "pushlint (python -m repro.analysis src/repro benchmarks)"
-python -m repro.analysis src/repro benchmarks || failures=$((failures + 1))
+# pushlint runs once per mode, each run covering the per-file rules and
+# the whole-program --flow passes over src/repro and benchmarks: a cold
+# serial run without a cache, a cold --flow-workers 2 run into a fresh
+# cache that must print the same bytes and fit PUSHLINT_FLOW_COLD_BUDGET,
+# and a run from that cache that must fit PUSHLINT_FLOW_BUDGET — the
+# property that lets --flow sit in this gate. Budgets are in seconds.
+step "pushlint --flow (cold serial, cold --flow-workers 2 under ${PUSHLINT_FLOW_COLD_BUDGET:-25}s, cached under ${PUSHLINT_FLOW_BUDGET:-10}s)"
+python - "${PUSHLINT_FLOW_COLD_BUDGET:-25}" "${PUSHLINT_FLOW_BUDGET:-10}" <<'PYEOF' || failures=$((failures + 1))
+import os, subprocess, sys, tempfile, time
 
-# The whole-program passes run twice: a first (possibly cold) run that
-# warms the content-hash summary cache, then a timed cached run that must
-# fit the wall-time budget — the property that lets --flow sit in this
-# gate. Override with PUSHLINT_FLOW_BUDGET (seconds).
-step "pushlint --flow (cached run under ${PUSHLINT_FLOW_BUDGET:-10}s budget)"
-flow_cache="$(mktemp /tmp/pushlint_flow.XXXXXX.json)"
-python -m repro.analysis --flow --flow-cache "$flow_cache" src/repro \
-    || failures=$((failures + 1))
-python - "$flow_cache" "${PUSHLINT_FLOW_BUDGET:-10}" <<'PYEOF' || failures=$((failures + 1))
-import subprocess, sys, time
+cold_budget, cached_budget = float(sys.argv[1]), float(sys.argv[2])
 
-cache, budget = sys.argv[1], float(sys.argv[2])
-start = time.perf_counter()
-proc = subprocess.run(
-    [sys.executable, "-m", "repro.analysis", "--flow",
-     "--flow-cache", cache, "src/repro"],
-    capture_output=True, text=True,
-)
-elapsed = time.perf_counter() - start
-sys.stdout.write(proc.stdout)
-sys.stderr.write(proc.stderr)
-print(f"cached --flow run: {elapsed:.2f}s (budget {budget:.0f}s)")
-if proc.returncode != 0:
-    sys.exit(proc.returncode)
-if elapsed > budget:
-    print(f"check.sh: cached --flow run blew the {budget:.0f}s budget")
-    sys.exit(1)
-PYEOF
+def lint(*argv):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "--flow", *argv,
+         "src/repro", "benchmarks"],
+        capture_output=True, text=True,
+    )
+    sys.stderr.write(proc.stderr)
+    return proc, time.perf_counter() - start
 
-# The shape/dtype passes (symbolic extent + promotion + sort stability)
-# get their own isolated warm-cache budget: the scope construction and
-# the param-extent fixpoint must never come to dominate the gate.
-# Override with PUSHLINT_SHAPE_BUDGET (seconds).
-step "pushlint --flow shape passes (--select dense/promotion/order under ${PUSHLINT_SHAPE_BUDGET:-10}s budget)"
-python - "$flow_cache" "${PUSHLINT_SHAPE_BUDGET:-10}" <<'PYEOF' || failures=$((failures + 1))
-import subprocess, sys, time
-
-cache, budget = sys.argv[1], float(sys.argv[2])
-start = time.perf_counter()
-proc = subprocess.run(
-    [sys.executable, "-m", "repro.analysis", "--flow", "--select",
-     "flow-dense-alloc,flow-dtype-promotion,flow-unstable-order",
-     "--flow-cache", cache, "src/repro"],
-    capture_output=True, text=True,
-)
-elapsed = time.perf_counter() - start
-sys.stdout.write(proc.stdout)
-sys.stderr.write(proc.stderr)
-print(f"cached shape-pass run: {elapsed:.2f}s (budget {budget:.0f}s)")
-if proc.returncode != 0:
-    sys.exit(proc.returncode)
-if elapsed > budget:
-    print(f"check.sh: cached shape-pass run blew the {budget:.0f}s budget")
-    sys.exit(1)
-PYEOF
-rm -f "$flow_cache"
-
-# The cold parse has its own budget: --flow-workers 2 fans the AST
-# extraction over an ExecutionPlan, and the result must be byte-identical
-# to a serial cold run. Override with PUSHLINT_FLOW_COLD_BUDGET (seconds).
-step "pushlint --flow cold parse (--flow-workers 2 under ${PUSHLINT_FLOW_COLD_BUDGET:-25}s budget, byte-identity vs serial)"
-python - "${PUSHLINT_FLOW_COLD_BUDGET:-25}" <<'PYEOF' || failures=$((failures + 1))
-import subprocess, sys, tempfile, time
-
-budget = float(sys.argv[1])
-
-def cold_run(workers):
-    with tempfile.NamedTemporaryFile(suffix=".json") as cache:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--flow",
-             "--flow-workers", str(workers), "--format", "json",
-             "--flow-cache", cache.name, "src/repro"],
-            capture_output=True, text=True,
-        )
-        return proc, time.perf_counter() - start
-
-serial, _ = cold_run(1)
-parallel, elapsed = cold_run(2)
-sys.stderr.write(parallel.stderr)
-print(f"cold --flow-workers 2 run: {elapsed:.2f}s (budget {budget:.0f}s)")
-if serial.returncode != 0 or parallel.returncode != 0:
-    sys.exit(serial.returncode or parallel.returncode)
+with tempfile.TemporaryDirectory() as tmp:
+    cache = os.path.join(tmp, "cache.json")
+    serial, _ = lint("--no-flow-cache", "--format", "json")
+    parallel, cold = lint(
+        "--flow-cache", cache, "--flow-workers", "2", "--format", "json"
+    )
+    cached, warm = lint("--flow-cache", cache)
+sys.stdout.write(cached.stdout)
+print(f"cold --flow-workers 2 run: {cold:.2f}s (budget {cold_budget:.0f}s)")
+print(f"cached --flow run: {warm:.2f}s (budget {cached_budget:.0f}s)")
+failed = False
+for name, proc in (("serial", serial), ("parallel", parallel), ("cached", cached)):
+    if proc.returncode != 0:
+        print(f"check.sh: {name} pushlint run exited {proc.returncode}")
+        failed = True
 if serial.stdout != parallel.stdout:
     print("check.sh: --flow-workers 2 changed the --flow output bytes")
-    sys.exit(1)
-if elapsed > budget:
-    print(f"check.sh: cold --flow run blew the {budget:.0f}s budget")
-    sys.exit(1)
-print("cold --flow run: workers=2 output byte-identical to serial")
+    failed = True
+if cold > cold_budget:
+    print(f"check.sh: cold --flow run blew the {cold_budget:.0f}s budget")
+    failed = True
+if warm > cached_budget:
+    print(f"check.sh: cached --flow run blew the {cached_budget:.0f}s budget")
+    failed = True
+sys.exit(1 if failed else 0)
 PYEOF
 
 step "mypy (strict: repro.util, repro.analysis)"

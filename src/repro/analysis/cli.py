@@ -15,7 +15,6 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.flow import SummaryCache, run_flow
-from repro.analysis.flow.dedupe import drop_duplicate_dense_findings
 from repro.analysis.flow.run import FlowResult
 from repro.analysis.reporters import format_human, format_json
 from repro.analysis.rules import FlowRule, rules_by_id, select_rules
@@ -213,14 +212,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.explain:
             return _explain(args.explain, flow_result)
         active, flow_baselined = baseline.split(flow_result.findings)
-        # A dense allocation reached through a densifier the per-file
-        # no-matrix-densify rule already flagged a call to is the same
-        # defect reported twice; keep the caller-side finding.
-        active, deduped = drop_duplicate_dense_findings(
-            active, result.findings
-        )
         result.findings = sorted([*result.findings, *active])
-        result.suppressed += flow_result.suppressed + deduped
+        result.suppressed += flow_result.suppressed
         result.baselined += flow_baselined
         result.flow_stats = flow_result.stats
 

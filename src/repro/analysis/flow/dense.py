@@ -5,7 +5,7 @@ runtime: **no function in the sparse/parallel kernel region allocates a
 dense array quadratic in the record count**. The kernel region is
 :class:`~repro.analysis.flow.scope.KernelScope` — everything reachable
 from an ``ExecutionPlan``-shipped kernel, a ``storage="sparse"``-guarded
-call, a ``Sparse*``-typed surface, or a sanctioned densifier entry point.
+call, or a ``Sparse*``-typed surface.
 
 An allocation fires when, after resolving deferred ``param:<name>``
 extents through the call-site fixpoint, at least two dimensions are
@@ -15,15 +15,17 @@ guards exclude explicitly-dense branches (``if storage == "dense":``,
 ``if not isinstance(d, SparsePairwise):``); streaming ``tile x n``
 allocations never fire because a tile extent is not ``big``.
 
-This subsumes and strengthens the syntactic ``no-matrix-densify`` rule:
-that rule polices *callers of* ``condensed_to_square`` by name; this pass
-follows the actual allocation wherever a helper hides it.
+This is the one guard of the O(n^2) contract. A dense-expansion helper
+such as ``condensed_to_square`` is not a root and carries no sanction,
+so kernel code that reaches it is reported with that caller at
+``chain[0]``, while dense-mode callers outside the region stay legal.
 
 Findings are **site-reported** — at the allocation, with the root-to-
 allocation call chain attached — and an inline ``# pushlint:
-disable=flow-dense-alloc`` on the allocation line sanctions the site
-(the sanctioned densifier homes and certified component-bounded work
-matrices carry one, each with a justification comment).
+disable=flow-dense-alloc`` on the allocation line sanctions the site for
+*every* caller (the oracle ``SparsePairwise.to_square`` and the certified
+component-bounded work matrices carry one, each with a justification
+comment).
 """
 
 from __future__ import annotations

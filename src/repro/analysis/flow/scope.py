@@ -7,10 +7,12 @@ Three pieces, all deterministic and all consuming only
   from a scale-path root. Roots are (a) callables shipped through an
   ``ExecutionPlan`` (PR 4's ship sites), (b) targets of calls guarded by
   a ``storage == "sparse"`` / ``isinstance(x, Sparse*)`` path condition,
-  (c) functions with a ``Sparse*``-annotated parameter, (d) methods of
-  ``Sparse*`` classes, and (e) the sanctioned densifier entry points.
-  A Theta(n^2) allocation matters exactly when it lives in this region —
-  dense-mode code outside it is allowed to be dense.
+  (c) functions with a ``Sparse*``-annotated parameter, and (d) methods
+  of ``Sparse*`` classes. A Theta(n^2) allocation matters exactly when it
+  lives in this region — dense-mode code outside it is allowed to be
+  dense. A dense-expansion helper such as ``condensed_to_square`` is not
+  a root: its allocation is reported exactly when kernel code reaches
+  it, with that caller at the head of the chain.
 
 * :func:`param_extents` — a join-over-call-sites fixpoint instantiating
   each function parameter's extent class from what callers actually pass
@@ -38,7 +40,6 @@ _MAX_DTYPE_CHASE = 8
 _ROLE_REASONS = {
     "sparse-param": "function with a Sparse*-typed parameter",
     "sparse-class": "method of a Sparse* storage class",
-    "densifier": "sanctioned densifier entry point",
 }
 
 
@@ -78,9 +79,7 @@ class KernelScope:
         for module, fn in self.index.all_functions():
             key: FuncKey = (module, fn.qualname)
             for role in fn.roles:
-                reason = _ROLE_REASONS.get(role)
-                if reason is not None:
-                    add(key, reason)
+                add(key, _ROLE_REASONS[role])
             for call in fn.calls:
                 if SPARSE_PATH_ATOMS.isdisjoint(call.guards):
                     continue

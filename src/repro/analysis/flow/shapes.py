@@ -69,10 +69,6 @@ KNOB_NAMES = frozenset({"storage", "precision", "blocking"})
 #: Class-name prefix marking sparse storage types (``SparsePairwise``).
 SPARSE_CLASS_PREFIX = "Sparse"
 
-#: Function names sanctioned as *the* dense-expansion entry points; they
-#: seed the kernel region so their own Theta(n^2) allocs are policed.
-DENSIFIER_NAME_RE = re.compile(r"(^|_)(to_square|to_dense)$|densif")
-
 #: Guard atoms that place a site on an explicitly non-sparse path.
 DENSE_PATH_ATOMS = frozenset({"storage!=sparse", "!sparse-inst"})
 
@@ -889,9 +885,7 @@ def function_roles(
 
     * ``"sparse-param"`` — a parameter is annotated with a ``Sparse*``
       class (including through ``Optional``/``Union``);
-    * ``"sparse-class"`` — a method of a ``Sparse*`` class;
-    * ``"densifier"`` — the function name matches the sanctioned
-      dense-expansion convention (``to_square``/``to_dense``/``*densif*``).
+    * ``"sparse-class"`` — a method of a ``Sparse*`` class.
     """
     roles: List[str] = []
     args = fn_node.args
@@ -906,6 +900,4 @@ def function_roles(
             break
     if class_name is not None and class_name.startswith(SPARSE_CLASS_PREFIX):
         roles.append("sparse-class")
-    if DENSIFIER_NAME_RE.search(fn_node.name):
-        roles.append("densifier")
     return roles

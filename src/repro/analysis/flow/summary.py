@@ -21,8 +21,9 @@ from repro.analysis.suppress import Suppressions
 #: Bump when the extraction format changes; stale cache entries are dropped.
 #: v3 added the symbolic shape/dtype facts (allocs, dtype events, sort
 #: events, call guards and argument extent classes) for the
-#: :mod:`repro.analysis.flow.shapes` passes.
-SUMMARY_VERSION = 3
+#: :mod:`repro.analysis.flow.shapes` passes; v4 dropped the
+#: ``"densifier"`` kernel-region role.
+SUMMARY_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,7 @@ class FunctionSummary:
     ``params`` are the positional parameter names (``self``/``cls``
     excluded) in declaration order, aligned against call-site
     ``arg_classes`` by the dense-alloc pass; ``roles`` mark shape-scope
-    seeds (``"sparse-param"``, ``"sparse-class"``, ``"densifier"``);
+    seeds (``"sparse-param"``, ``"sparse-class"``);
     ``returns_dtype`` is the joined dtype atom of the function's return
     expressions (``"unknown"`` when mixed or untracked).
     """

@@ -1,4 +1,4 @@
-"""no-matrix-densify: forbid ``.todense()`` and stray densification.
+"""no-matrix-densify: forbid ``.todense()``.
 
 ``scipy.sparse`` offers two densification methods and they are not
 interchangeable: ``.toarray()`` returns a plain ``numpy.ndarray``, while
@@ -9,41 +9,20 @@ operator semantics downstream, so the blocked kernels (``repro.perf``)
 require plain arrays throughout.  Any attribute named ``todense`` is
 flagged, whether or not it is called.
 
-The rule also guards the compressed-storage contract from the other
-side: calling :func:`repro.perf.condensed.condensed_to_square` rebuilds
-the full O(n^2) square matrix, which is exactly what condensed and
-sparse storage exist to avoid.  Production code must stay in compressed
-form (the blocked kernels, the sparse linkage, and the streaming cut
-sweep all do); the few sanctioned materialization points — the explicit
-densify API in ``repro.core.distance`` and small-scale oracle code —
-carry an inline ``# pushlint: disable=no-matrix-densify``.
-
-This rule is syntactic — it polices *callers of* the named converters.
-The whole-program ``flow-dense-alloc`` pass
-(:mod:`repro.analysis.flow.dense`) subsumes and strengthens it by
-tracking symbolic allocation extents interprocedurally, so a quadratic
-``np.zeros((n, n))`` hidden behind any helper is caught even when no
-sanctioned converter is ever named.
+The memory side of densification — an O(n^2) square built inside the
+sparse/parallel kernel region — is the whole-program ``flow-dense-alloc``
+pass's job (:mod:`repro.analysis.flow.dense`).  That pass sees sizes,
+not types, so the ``numpy.matrix`` semantics hazard stays here.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterator
 
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import ModuleSource
-
-
-def _call_name(node: ast.Call) -> Optional[str]:
-    """The trailing identifier of the called expression, if any."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 class NoMatrixDensifyRule(Rule):
@@ -51,13 +30,8 @@ class NoMatrixDensifyRule(Rule):
     severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
         "sparse `.todense()` returns deprecated numpy.matrix with matmul "
-        "`*` semantics, and `condensed_to_square()` rebuilds the O(n^2) "
-        "matrix compressed storage exists to avoid"
+        "`*` semantics; use `.toarray()`"
     )
-
-    #: The module that owns the converter: its definition (and doctest
-    #: usage) is the one place calling it needs no sanction.
-    _HOME_MODULE: ClassVar[str] = "repro.perf.condensed"
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
@@ -67,16 +41,4 @@ class NoMatrixDensifyRule(Rule):
                     node,
                     "`.todense()` produces a numpy.matrix; use `.toarray()` "
                     "to densify into a plain ndarray",
-                )
-            elif (
-                isinstance(node, ast.Call)
-                and _call_name(node) == "condensed_to_square"
-                and src.module != self._HOME_MODULE
-            ):
-                yield self.finding(
-                    src,
-                    node,
-                    "`condensed_to_square()` materializes the full O(n^2) "
-                    "square matrix; stay in condensed/sparse form, or mark "
-                    "a sanctioned oracle site with an inline disable",
                 )

@@ -200,9 +200,7 @@ class AgglomerativeClusterer:
                 raise ValueError(
                     f"{m} entries is not a valid condensed matrix size"
                 )
-            work = condensed_to_square(  # pushlint: disable=no-matrix-densify
-                distances, n, dtype=np.float64
-            )
+            work = condensed_to_square(distances, n, dtype=np.float64)
         elif distances.ndim == 2 and distances.shape[0] == distances.shape[1]:
             n = distances.shape[0]
             work = distances.astype(np.float64, copy=True)

@@ -171,8 +171,8 @@ class SparsePairwise:
         """Dense float64 square with absent pairs set to ``fill_value``.
 
         Oracle/test helper only — it materializes the O(n^2) matrix the
-        sparse path exists to avoid (the ``no-matrix-densify`` pushlint
-        rule polices production callers of the dense expansion).
+        sparse path exists to avoid. Its inline ``flow-dense-alloc``
+        sanction covers every caller, so production code must not call it.
         """
         # Sanctioned oracle densification (see docstring): deliberate
         # O(n^2), never on the production sparse path.

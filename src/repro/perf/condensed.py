@@ -50,9 +50,9 @@ def condensed_to_square(
             f"condensed storage for n={n} needs {condensed_size(n)} entries, "
             f"got {condensed.size}"
         )
-    # The one sanctioned O(n^2) expansion: this *is* the densify API the
-    # no-matrix-densify rule points every other caller at.
-    out = np.zeros(  # pushlint: disable=flow-dense-alloc
+    # Deliberately O(n^2) and unsanctioned: flow-dense-alloc reports this
+    # allocation whenever sparse/parallel kernel code reaches it.
+    out = np.zeros(
         (n, n), dtype=dtype if dtype is not None else condensed.dtype
     )
     rows, cols = np.triu_indices(n, k=1)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis.flow import ProjectIndex, SummaryCache
 
 from tests.analysis.flow.conftest import write_package
@@ -162,12 +164,15 @@ def test_parallel_cold_build_is_byte_identical(tmp_path):
             )
 
 
-def test_v2_summary_payload_is_wholesale_invalidated(tmp_path):
-    # Regression for the v3 schema bump: a cache whose entries carry
-    # version-2 summaries (written before the shape/dtype facts existed)
-    # has correct file hashes but lacks allocs/dtype_events/sorts — the
-    # per-summary version gate must reject every entry even if the
-    # envelope (cache version + ruleset fingerprint) were somehow valid.
+@pytest.mark.parametrize("version", [2, 3])
+def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
+    # Regression for the v3 and v4 schema bumps: a cache whose entries
+    # carry version-2 summaries (written before the shape/dtype facts
+    # existed, so lacking allocs/dtype_events/sorts) or version-3
+    # summaries (which may still hold the dropped "densifier" role) has
+    # correct file hashes — the per-summary version gate must reject
+    # every entry even if the envelope (cache version + ruleset
+    # fingerprint) were somehow valid.
     pkg = write_package(tmp_path, "cachepkg", PKG)
     cache_file = tmp_path / "cache.json"
     cache = SummaryCache(cache_file)
@@ -176,10 +181,13 @@ def test_v2_summary_payload_is_wholesale_invalidated(tmp_path):
 
     payload = json.loads(cache_file.read_text())
     for entry in payload["entries"].values():
-        entry["summary"]["version"] = 2
+        entry["summary"]["version"] = version
         for fn in entry["summary"].get("functions", {}).values():
-            for key in ("allocs", "dtype_events", "sorts", "params", "roles"):
-                fn.pop(key, None)
+            if version == 2:
+                for key in ("allocs", "dtype_events", "sorts", "params", "roles"):
+                    fn.pop(key, None)
+            else:
+                fn["roles"] = [*fn.get("roles", []), "densifier"]
     cache_file.write_text(json.dumps(payload))
 
     index = ProjectIndex.build([pkg], cache=SummaryCache(cache_file))
@@ -187,10 +195,10 @@ def test_v2_summary_payload_is_wholesale_invalidated(tmp_path):
     assert index.cached == 0
 
 
-def test_current_summary_version_is_v3():
+def test_current_summary_version_is_v4():
     from repro.analysis.flow.summary import SUMMARY_VERSION
 
-    assert SUMMARY_VERSION == 3
+    assert SUMMARY_VERSION == 4
 
 
 def test_changed_rule_description_invalidates_wholesale(tmp_path, monkeypatch):

@@ -52,9 +52,10 @@ def test_no_sanctioned_flow_suppressions_accumulate():
     # Inline flow suppressions in src/repro are allowed but must stay
     # rare and deliberate; this ratchet stops silent accumulation.
     result = run_flow([SRC])
-    # 2 legacy sites + the 4 sanctioned flow-dense-alloc densifier/
-    # component-budget sites added with the shape passes.
-    assert result.suppressed <= 6, (
+    # The 3 sanctioned flow-dense-alloc sites: SparsePairwise.to_square
+    # (oracle densification) and the two component-budget work matrices
+    # in the sparse linkage.
+    assert result.suppressed <= 3, (
         "unexpected growth in flow suppressions; justify or fix instead"
     )
 

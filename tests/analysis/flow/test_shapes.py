@@ -132,6 +132,51 @@ class TestSanctionDeletion:
         assert "injpkg.pipe.kernel" in finding.chain[0]
         assert finding.chain[-1].startswith("allocation numpy.zeros")
 
+    def test_sparse_typed_caller_of_a_dense_helper_heads_the_chain(
+        self, tmp_path
+    ):
+        # A dense-expansion helper is not a kernel-region root, so its
+        # allocation is reported once, for the Sparse*-typed caller that
+        # reaches it; the dense-mode caller alone would be allowed.
+        write_package(
+            tmp_path,
+            "leakpkg",
+            {
+                "condensed": """
+                    import numpy as np
+
+
+                    def condensed_to_square(flat, n):
+                        out = np.zeros((n, n))
+                        return out
+                    """,
+                "kernels": """
+                    from leakpkg.condensed import condensed_to_square
+
+
+                    class SparsePairwise:
+                        n = 0
+
+
+                    def leak(d: SparsePairwise, flat):
+                        return condensed_to_square(flat, d.n)
+
+
+                    def dense_report(flat, n):
+                        return condensed_to_square(flat, n)
+                    """,
+            },
+        )
+        result = run_flow([tmp_path / "leakpkg"])
+        (finding,) = _by_rule(result, "flow-dense-alloc")
+        assert result.findings == [finding]
+        assert finding.path.endswith("leakpkg/condensed.py")
+        assert "leakpkg.kernels.leak" in finding.chain[0]
+        assert "condensed_to_square" in finding.chain[1]
+        assert finding.chain[-1].startswith(
+            "allocation numpy.zeros((n:big, n:big))"
+        )
+
     def test_every_src_repro_sanction_is_load_bearing(self):
         # src/repro is clean only because each sanctioned Theta(n^2) site
         # carries an inline suppression; removing any one must resurface
@@ -139,7 +184,7 @@ class TestSanctionDeletion:
         index = ProjectIndex.build([SRC])
         graph = index.callgraph()
         base = DenseAllocPass(index, graph).run()
-        assert len(base) == 4, [ff.finding.location for ff in base]
+        assert len(base) == 3, [ff.finding.location for ff in base]
         assert all(ff.suppressed for ff in base)
         for ff in base:
             finding = ff.finding
