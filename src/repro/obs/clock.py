@@ -10,8 +10,8 @@ Two implementations cover both worlds:
 * :class:`NullClock` — always 0.0.  The default everywhere, so a traced
   run produces the same span tree, byte for byte, on every invocation.
 * :class:`PerfClock` — the host's monotonic performance counter, for the
-  benchmark harness (``python -m repro.bench``) where wall time is the
-  measurement.
+  end-to-end benchmark's traced runs (``perfbench/run.py --trace 1``)
+  where wall time is the measurement.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Render a trace as a human-readable tree or as canonical JSON.
 
-The JSON form is the machine-readable perf trajectory: ``repro.bench``
-derives ``BENCH_pipeline.json`` from it, and ``python -m repro ...
---trace-json PATH`` writes it directly.  Serialization is canonical —
-sorted keys, fixed separators, trailing newline — so a trace recorded
-under a :class:`~repro.obs.clock.NullClock` from a seeded run compares
-equal byte for byte across invocations.
+The JSON form is the machine-readable span tree: ``python -m repro ...
+--trace-json PATH`` writes it directly, and the end-to-end benchmark's
+per-layer metrics (``perfbench/``) are read off the same spans.
+Serialization is canonical — sorted keys, fixed separators, trailing
+newline — so a trace recorded under a :class:`~repro.obs.clock.NullClock`
+from a seeded run compares equal byte for byte across invocations.
 
 Schema (``"schema": "repro-trace/1"``)::
 

@@ -17,8 +17,8 @@ against it:
   of canonical response strings;
 * :mod:`repro.serve.wsgi` — a pure-WSGI adapter (no sockets at import
   time) plus the CLI-edge ``serve_forever``;
-* :mod:`repro.serve.loadgen` — the deterministic load generator behind
-  ``repro.bench --serve``.
+* :mod:`repro.serve.loadgen` — the deterministic threaded load generator
+  (one response checksum at any thread count).
 
 The package sits above ``util``/``obs``/``perf``/``core`` and below
 nothing the tests depend on; ``docs/SERVING.md`` documents the snapshot
@@ -26,7 +26,12 @@ lifecycle, cache semantics and determinism guarantees.
 """
 
 from repro.serve.cache import DEFAULT_CACHE_SIZE, ResponseCache, response_cache_key
-from repro.serve.core import RESPONSE_SCHEMA, ServeCore, UnknownCampaignError
+from repro.serve.core import (
+    RESPONSE_SCHEMA,
+    InvalidQueryError,
+    ServeCore,
+    UnknownCampaignError,
+)
 from repro.serve.loadgen import LoadgenResult, generate_requests, run_load
 from repro.serve.snapshot import (
     SNAPSHOT_SCHEMA,
@@ -40,6 +45,7 @@ from repro.serve.wsgi import create_app, serve_forever
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
+    "InvalidQueryError",
     "LoadgenResult",
     "MinedSnapshot",
     "RESPONSE_SCHEMA",

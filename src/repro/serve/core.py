@@ -75,6 +75,10 @@ class UnknownCampaignError(KeyError):
     """:meth:`ServeCore.campaign` was asked about an id not in the snapshot."""
 
 
+class InvalidQueryError(ValueError):
+    """A classify query's ``landing_url`` is not an absolute http(s) URL."""
+
+
 @dataclass(frozen=True)
 class ServingState:
     """Everything :class:`ServeCore` derives from one snapshot, immutably.
@@ -476,7 +480,10 @@ def _normalize_wpn(wpn: Mapping[str, Any]) -> Dict[str, Any]:
     text_tokens = tokenize_text(f"{title} {body}")
     url_tokens: List[str] = []
     if landing_url:
-        parsed = Url.parse(landing_url)
+        try:
+            parsed = Url.parse(landing_url)
+        except ValueError as exc:
+            raise InvalidQueryError(f"invalid landing_url: {exc}") from exc
         url_tokens = sorted(set(tokenize_url_path(parsed.path, parsed.query)))
     return {
         "title": title,

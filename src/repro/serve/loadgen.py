@@ -15,7 +15,7 @@ Determinism discipline:
   outcome depends on scheduling;
 * the response checksum hashes canonical response JSON *in request-index
   order*, making "same answers at any thread count" a single string
-  comparison — the property ``repro.bench --serve`` gates;
+  comparison — the property ``tests/serve/test_loadgen.py`` pins;
 * wall-clock enters only through an injectable :class:`~repro.obs.Clock`
   (default :class:`~repro.obs.NullClock`: latencies read 0.0 and QPS is
   reported as 0.0, keeping test runs byte-identical).
@@ -65,7 +65,7 @@ class LoadgenResult:
     response_checksum: str
 
     def row(self) -> Dict[str, Any]:
-        """JSON-ready form for bench reports."""
+        """JSON-ready form of one load run."""
         return {
             "workers": self.workers,
             "n_requests": self.n_requests,

@@ -11,7 +11,8 @@ import path the tests and the analysis pipeline touch.
 Routes (all responses are canonical JSON):
 
 * ``GET /check?url=...``      -> :meth:`ServeCore.check`
-* ``POST /classify``          -> :meth:`ServeCore.classify` (JSON body)
+* ``POST /classify``          -> :meth:`ServeCore.classify` (JSON body; 400
+  on :class:`~repro.serve.core.InvalidQueryError`)
 * ``GET /campaign/<id>``      -> :meth:`ServeCore.campaign` (404 unknown)
 * ``GET /stats``              -> :meth:`ServeCore.stats`
 * ``GET /healthz``            -> liveness + snapshot hash
@@ -23,7 +24,7 @@ import json
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 from urllib.parse import parse_qs
 
-from repro.serve.core import ServeCore, UnknownCampaignError
+from repro.serve.core import InvalidQueryError, ServeCore, UnknownCampaignError
 from repro.serve.snapshot import canonical_json
 
 StartResponse = Callable[[str, List[Tuple[str, str]]], Any]
@@ -91,7 +92,10 @@ def _dispatch(
                 "error": "body must be a JSON object with "
                 "title/body/landing_url"
             }
-        return 200, core.classify(wpn)
+        try:
+            return 200, core.classify(wpn)
+        except InvalidQueryError as exc:
+            return 400, {"error": str(exc)}
 
     if path.startswith("/campaign/"):
         if method != "GET":

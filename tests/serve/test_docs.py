@@ -39,7 +39,7 @@ def test_serving_doc_covers_the_contract():
         "byte-identical",        # the determinism guarantee
         "cache",                 # response-cache semantics
         "python -m repro.serve", # the CLI entry point
-        "BENCH_serve.json",      # the committed bench baseline
+        "perfbench",             # the end-to-end benchmark
     ):
         assert needle in text, f"docs/SERVING.md lost its {needle!r} coverage"
 

@@ -21,7 +21,7 @@ def call(app, method, path, query="", body=None):
         "QUERY_STRING": query,
     }
     if body is not None:
-        raw = body.encode("utf-8")
+        raw = body if isinstance(body, bytes) else body.encode("utf-8")
         environ["CONTENT_LENGTH"] = str(len(raw))
         environ["wsgi.input"] = io.BytesIO(raw)
     captured = {}
