@@ -17,20 +17,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.silhouette import average_silhouette
 from repro.perf import (
+    DEFAULT_TILE_SIZE,
     BlockingExactnessError,
     CutScoringOperands,
     ExecutionPlan,
     PairwiseOperands,
+    SilhouetteSchedule,
     SparsePairwise,
     component_labels,
     condensed_to_square,
     cut_silhouette_tile,
+    row_tiles,
+    silhouette_rows,
 )
 from repro.util.graph import UnionFind
 
@@ -683,6 +686,7 @@ class CutSelection:
     labels: np.ndarray
     score: float
     n_candidates: int
+    merges_swept: int = 0  # merges applied, up to the highest scored cut
 
 
 class IncrementalCutSweep:
@@ -770,112 +774,120 @@ def _dependency_order(linkage: Linkage) -> List[Merge]:
     return ordered
 
 
-class IncrementalSilhouetteSweep:
-    """Average silhouette at nondecreasing thresholds, O(n*k) per score.
+def silhouette_schedule(
+    linkage: Linkage, thresholds: Sequence[float]
+) -> SilhouetteSchedule:
+    """The silhouette sweep's schedule at nondecreasing ``thresholds``.
 
-    Scoring a cut from scratch costs O(n^2) (permute + reduce the full
-    distance matrix). A sweep instead maintains, across the height-sorted
-    merge sequence, each point's MEAN distance to every live cluster: a
-    column matrix ``M`` (compacted, live columns first) plus cluster
-    sizes. A merge replaces two columns by their size-weighted mean in
-    O(n); scoring a threshold is then one masked min-reduction over the
-    live columns. Column means are accumulated along the merge tree
-    instead of in index order, so scores can differ from
-    :func:`~repro.core.silhouette.silhouette_samples` in the last few
-    ulps — the equivalence tests bound that, and the end-to-end tests pin
-    the resulting cut selection bit-for-bit.
+    Walks the dependency-ordered merges once, doing the sweep's
+    bookkeeping (union-find roots to columns, cluster sizes, compaction)
+    without reading a distance; :func:`repro.perf.silhouette_rows` then
+    applies it to any row tile.  Column means accumulate along the merge
+    tree, not in index order, so scores can differ from
+    :func:`~repro.core.silhouette.average_silhouette` in the last few ulps.
+    Degenerate cuts (k < 2 or k == n) are not scheduled; they score -1.0.
     """
-
-    def __init__(self, linkage: Linkage, distances: np.ndarray):
-        n = linkage.n_leaves
-        if distances.shape != (n, n):
-            raise ValueError(
-                f"distance matrix shape {distances.shape} does not match "
-                f"{n} leaves"
-            )
-        self._linkage = linkage
-        self._n = n
-        # Column j starts as the singleton cluster {j}: its mean-distance
-        # column is exactly the distance column.
-        self._means = np.array(distances, dtype=np.float64, copy=True)
-        self._counts = np.ones(n, dtype=np.float64)
-        self._k = n
-        self._col_of: Dict[int, int] = {leaf: leaf for leaf in range(n)}
-        self._id_of: List[int] = list(range(n))
-        self._uf = UnionFind(range(n))
-        for merge in linkage.merges:
-            self._uf.add(merge.new_id)
-        self._order = _dependency_order(linkage)
-        self._position = 0
-        self._last_threshold = -np.inf
-
-    def _apply(self, merge: Merge) -> None:
-        # _col_of is keyed by union-find ROOT (which need not be the
-        # cluster id the dendrogram assigned), so resolve before uniting.
-        col_a = self._col_of.pop(self._uf.find(merge.id_a))
-        col_b = self._col_of.pop(self._uf.find(merge.id_b))
-        size_a, size_b = self._counts[col_a], self._counts[col_b]
-        self._means[:, col_a] = (
-            size_a * self._means[:, col_a] + size_b * self._means[:, col_b]
-        ) / (size_a + size_b)
-        self._counts[col_a] = size_a + size_b
-        self._uf.union(merge.id_a, merge.new_id)
-        self._uf.union(merge.id_b, merge.new_id)
-        merged_root = self._uf.find(merge.new_id)
-        self._col_of[merged_root] = col_a
-        self._id_of[col_a] = merged_root
-        # Compact: move the last live column into the freed slot so the
-        # live block stays contiguous at [:, :k].
-        last = self._k - 1
-        if col_b != last:
-            self._means[:, col_b] = self._means[:, last]
-            self._counts[col_b] = self._counts[last]
-            moved = self._id_of[last]
-            self._id_of[col_b] = moved
-            self._col_of[moved] = col_b
-        self._k -= 1
-
-    def score_at(self, threshold: float) -> float:
-        """Average silhouette at ``threshold`` (must be nondecreasing).
-
-        Matches :func:`~repro.core.silhouette.average_silhouette`'s
-        conventions: singleton points score 0; degenerate cuts (fewer
-        than 2 clusters, or every point a cluster) score -1.0.
-        """
-        if threshold < self._last_threshold:
+    n = linkage.n_leaves
+    counts = [1.0] * n
+    col_of: Dict[int, int] = {leaf: leaf for leaf in range(n)}
+    id_of: List[int] = list(range(n))
+    uf = UnionFind(range(n))
+    for merge in linkage.merges:
+        uf.add(merge.new_id)
+    order = _dependency_order(linkage)
+    columns: List[Tuple[int, int, int]] = []
+    sizes: List[Tuple[float, float]] = []
+    scored: List[float] = []
+    stops: List[int] = []
+    owns: List[np.ndarray] = []
+    own_counts: List[np.ndarray] = []
+    ks: List[int] = []
+    position, k = 0, n
+    last_threshold = -np.inf
+    for threshold in thresholds:
+        if threshold < last_threshold:
             raise ValueError(
                 f"sweep thresholds must be nondecreasing: {threshold} < "
-                f"{self._last_threshold}"
+                f"{last_threshold}"
             )
-        self._last_threshold = threshold
-        merges = self._order
-        while (
-            self._position < len(merges)
-            and merges[self._position].height <= threshold
-        ):
-            self._apply(merges[self._position])
-            self._position += 1
-        k, n = self._k, self._n
+        last_threshold = threshold
+        while position < len(order) and order[position].height <= threshold:
+            merge = order[position]
+            position += 1
+            # col_of is keyed by union-find ROOT (which need not be the
+            # cluster id the dendrogram assigned), so resolve first.
+            col_a = col_of.pop(uf.find(merge.id_a))
+            col_b = col_of.pop(uf.find(merge.id_b))
+            last = k - 1
+            columns.append((col_a, col_b, last))
+            sizes.append((counts[col_a], counts[col_b]))
+            counts[col_a] += counts[col_b]
+            uf.union(merge.id_a, merge.new_id)
+            uf.union(merge.id_b, merge.new_id)
+            root = uf.find(merge.new_id)
+            col_of[root] = col_a
+            id_of[col_a] = root
+            # Compact: the last live column moves into the freed slot.
+            if col_b != last:
+                counts[col_b] = counts[last]
+                moved = id_of[last]
+                id_of[col_b] = moved
+                col_of[moved] = col_b
+            k -= 1
         if k < 2 or k >= n:
-            return -1.0
-        own = np.empty(n, dtype=np.intp)
-        col_of, find = self._col_of, self._uf.find
-        for leaf in range(n):
-            own[leaf] = col_of[find(leaf)]
-        idx = np.arange(n)
-        live = self._means[:, :k]
-        own_counts = self._counts[own]
-        own_means = live[idx, own].copy()
-        live[idx, own] = np.inf
-        b = live.min(axis=1)
-        live[idx, own] = own_means  # restore the masked entries
-        # sum-to-own / (count - 1), from the mean: sum = mean * count.
-        a = own_means * own_counts / np.maximum(own_counts - 1.0, 1.0)
-        denom = np.maximum(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-12), 0.0)
-        s[own_counts == 1] = 0.0  # singleton convention
-        return float(s.mean())
+            continue
+        own = np.fromiter(
+            (col_of[uf.find(leaf)] for leaf in range(n)),
+            dtype=np.intp,
+            count=n,
+        )
+        scored.append(float(threshold))
+        stops.append(len(columns))
+        owns.append(own)
+        own_counts.append(np.array(counts, dtype=np.float64)[own])
+        ks.append(k)
+    applied = stops[-1] if stops else 0
+    return SilhouetteSchedule(
+        n=n,
+        thresholds=tuple(scored),
+        columns=np.array(columns[:applied], dtype=np.intp).reshape(-1, 3),
+        sizes=np.array(sizes[:applied], dtype=np.float64).reshape(-1, 2),
+        stops=tuple(stops),
+        owns=tuple(owns),
+        own_counts=tuple(own_counts),
+        ks=tuple(ks),
+    )
+
+
+def _select_scored(
+    linkage: Linkage,
+    candidate_list: List[float],
+    schedule: SilhouetteSchedule,
+    parts: Iterable[np.ndarray],
+) -> CutSelection:
+    """The best candidate by mean of the stacked per-point tiles; the
+    first of tied candidates wins, and unscheduled ones score -1.0."""
+    scores = {t: -1.0 for t in candidate_list}
+    if schedule.stops:
+        samples = np.concatenate(list(parts), axis=1)
+        for index, threshold in enumerate(schedule.thresholds):
+            scores[threshold] = float(samples[index].mean())
+    best: Tuple[float, float] = (0.0, -np.inf)
+    found = False
+    for threshold in candidate_list:
+        if scores[threshold] > best[1]:
+            best = (threshold, scores[threshold])
+            found = True
+    if not found:
+        threshold = float(np.median(linkage.heights()))
+        return CutSelection(
+            threshold, linkage.cut(threshold), -1.0, len(candidate_list),
+            schedule.n_merges,
+        )
+    return CutSelection(
+        best[0], linkage.cut(best[0]), best[1], len(candidate_list),
+        schedule.n_merges,
+    )
 
 
 def _candidate_thresholds(
@@ -948,30 +960,20 @@ def evaluate_cuts(
             max_threshold,
         )
 
-    # Score every distinct threshold in one ascending incremental sweep
-    # (each merge is applied exactly once across all candidates), then pick
-    # the winner in the caller's candidate order — same strict-improvement
-    # tie-breaking as scoring candidates one by one.
-    candidate_list = [float(t) for t in candidates]
-    sweep = IncrementalSilhouetteSweep(linkage, distances)
-    scores: Dict[float, float] = {}
-    for threshold in sorted(set(candidate_list)):
-        scores[threshold] = sweep.score_at(threshold)
-
-    best: Tuple[float, float] = (0.0, -np.inf)
-    found = False
-    for threshold in candidate_list:
-        if scores[threshold] > best[1]:
-            best = (threshold, scores[threshold])
-            found = True
-    if not found:
-        threshold = float(np.median(heights))
-        return CutSelection(
-            threshold, linkage.cut(threshold), -1.0, len(candidate_list)
+    # One ascending sweep scores every distinct threshold, tile by tile.
+    n = linkage.n_leaves
+    if distances.shape != (n, n):
+        raise ValueError(
+            f"distance matrix shape {distances.shape} does not match "
+            f"{n} leaves"
         )
-    return CutSelection(
-        best[0], linkage.cut(best[0]), best[1], len(candidate_list)
+    candidate_list = [float(t) for t in candidates]
+    schedule = silhouette_schedule(linkage, sorted(set(candidate_list)))
+    parts = (
+        silhouette_rows(schedule, distances[tile.start:tile.stop], tile)
+        for tile in row_tiles(n, DEFAULT_TILE_SIZE)
     )
+    return _select_scored(linkage, candidate_list, schedule, parts)
 
 
 def evaluate_cuts_sparse(
@@ -987,16 +989,11 @@ def evaluate_cuts_sparse(
 ) -> CutSelection:
     """:func:`evaluate_cuts` over a certified sparse linkage, streaming.
 
-    Never materializes the dense distance matrix: per-point silhouettes
-    are recomputed tile by tile from the pairwise ``operands`` with
-    :func:`repro.perf.cut_silhouette_tile`, which replays the exact
-    permute / reduce scalar sequence
-    :func:`repro.core.silhouette.silhouette_samples` runs on the full
-    matrix — each candidate's score is the bitwise
-    :func:`~repro.core.silhouette.average_silhouette` of its labeling.
-    (:func:`evaluate_cuts` scores through the incremental sweep, whose
-    accumulation can differ in the last ulps; the end-to-end identity
-    tests pin that both paths *select* the same cut.)
+    Never materializes the dense distance matrix: each row tile is
+    recomputed once from the pairwise ``operands`` by
+    :func:`repro.perf.cut_silhouette_tile` and swept with the schedule
+    and kernel :func:`evaluate_cuts` runs on the square's row slices, so
+    every score is bitwise :func:`evaluate_cuts`'s.
 
     Exactness is certified before any scoring:
 
@@ -1085,60 +1082,13 @@ def evaluate_cuts_sparse(
                 "the blocking bound or use dense storage"
             )
 
-    # Labelings per distinct threshold (ascending — identical arrays to
-    # Linkage.cut), digested exactly as silhouette_samples digests
-    # labels.  Degenerate labelings score -1.0 without streaming.
-    distinct = sorted(set(candidate_list))
-    sweep = IncrementalCutSweep(linkage)
-    labels_of: Dict[float, np.ndarray] = {}
-    scores: Dict[float, float] = {}
-    digests = []
-    scored_thresholds = []
-    for threshold in distinct:
-        labels = sweep.labels_at(threshold)
-        labels_of[threshold] = labels
-        unique, compact = np.unique(labels, return_inverse=True)
-        k = unique.size
-        if k < 2 or k >= n:
-            scores[threshold] = -1.0
-            continue
-        counts = np.bincount(compact, minlength=k).astype(np.float64)
-        order = np.argsort(compact, kind="stable")
-        starts = np.zeros(k, dtype=np.intp)
-        starts[1:] = np.cumsum(counts[:-1]).astype(np.intp)
-        digests.append((compact, order, starts, counts))
-        scored_thresholds.append(threshold)
-
-    if digests:
-        cut_operands = CutScoringOperands(
-            pairwise=operands,
-            dtype=dtype,
-            compacts=tuple(d[0] for d in digests),
-            orders=tuple(d[1] for d in digests),
-            starts=tuple(d[2] for d in digests),
-            counts=tuple(d[3] for d in digests),
-        )
-        the_plan = plan if plan is not None else ExecutionPlan()
-        tiles = the_plan.tiles(n)
-        parts = list(the_plan.stream(cut_silhouette_tile, cut_operands, tiles))
-        samples = np.concatenate(parts, axis=1)
-        for index, threshold in enumerate(scored_thresholds):
-            scores[threshold] = float(samples[index].mean())
-
-    best: Tuple[float, float] = (0.0, -np.inf)
-    found = False
-    for threshold in candidate_list:
-        if scores[threshold] > best[1]:
-            best = (threshold, scores[threshold])
-            found = True
-    if not found:
-        threshold = float(np.median(heights))
-        return CutSelection(
-            threshold, linkage.cut(threshold), -1.0, len(candidate_list)
-        )
-    return CutSelection(
-        best[0], labels_of[best[0]], best[1], len(candidate_list)
+    schedule = silhouette_schedule(linkage, sorted(set(candidate_list)))
+    cut_operands = CutScoringOperands(
+        pairwise=operands, dtype=dtype, schedule=schedule
     )
+    the_plan = plan if plan is not None else ExecutionPlan()
+    parts = the_plan.stream(cut_silhouette_tile, cut_operands, the_plan.tiles(n))
+    return _select_scored(linkage, candidate_list, schedule, parts)
 
 
 def select_cut(
@@ -1173,7 +1123,7 @@ def cluster_records(
     clusterer = AgglomerativeClusterer(linkage_method)
     linkage = clusterer.fit(distances)
     if threshold is not None:
-        labels = linkage.cut(threshold)
-        return labels, linkage, threshold, average_silhouette(distances, labels)
+        _, labels, score = select_cut(linkage, distances, candidates=[threshold])
+        return labels, linkage, threshold, score
     chosen, labels, score = select_cut(linkage, distances)
     return labels, linkage, chosen, score

@@ -56,7 +56,6 @@ from repro.core.features import WpnFeatures, extract_all
 from repro.core.labeling import LabelingResult, label_malicious_clusters
 from repro.core.metacluster import MetaCluster, build_meta_clusters, meta_of_cluster
 from repro.core.records import WpnRecord
-from repro.core.silhouette import average_silhouette
 from repro.core.suspicious import SuspicionResult, find_suspicious
 from repro.core.textsim import SoftCosineModel
 from repro.core.verification import ManualVerificationOracle
@@ -554,17 +553,18 @@ class PushAdMiner:
     ) -> CutSelection:
         """Silhouette-selected (or configured fixed) dendrogram cut.
 
-        Candidates are scored by one ascending incremental sweep over the
-        merge heights (labels maintained in place, silhouette row-sums via
-        ``np.add.reduceat``) instead of rebuilding the labeling per cut.
+        Every candidate, a fixed cut included, is scored by one ascending
+        incremental silhouette sweep over row tiles of the distance
+        matrix: the dense square's row slices, or each tile's rows
+        recomputed once on the sparse path — bitwise the same scores.
         """
         with self.tracer.span("pipeline.cut") as span:
             cfg = self.config
             fixed = cfg.cut_threshold
             if distances.storage == "sparse":
                 # Never densify: score candidates tile by tile from the
-                # retained kernel operands (bitwise the dense silhouette),
-                # with every threshold certified against the linkage's
+                # retained kernel operands (bitwise the dense sweep), with
+                # every threshold certified against the linkage's
                 # exactness floor.
                 assert distances.operands is not None
                 plan = ExecutionPlan(
@@ -580,18 +580,17 @@ class PushAdMiner:
                 span.gauge("matrix_bytes", distances.component_bytes)
             else:
                 total = distances.total_square()
-                if fixed is not None:
-                    labels = linkage.cut(fixed)
-                    score = average_silhouette(total, labels)
-                    selection = CutSelection(fixed, labels, score, 1)
-                else:
-                    selection = evaluate_cuts(linkage, total)
+                selection = evaluate_cuts(
+                    linkage,
+                    total,
+                    candidates=[fixed] if fixed is not None else None,
+                )
                 span.gauge("matrix_bytes", int(total.nbytes))
             span.gauge("candidates_evaluated", selection.n_candidates)
             span.gauge("threshold", selection.threshold)
             span.gauge("silhouette", selection.score)
             span.gauge("clusters", int(selection.labels.max()) + 1)
-            span.gauge("merges_swept", len(linkage.merges))
+            span.gauge("merges_swept", selection.merges_swept)
             span.gauge("workers", self.config.workers)
             return selection
 

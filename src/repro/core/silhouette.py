@@ -1,12 +1,12 @@
-"""Average silhouette score over a precomputed distance matrix.
+"""Average silhouette score of one labeling over a distance matrix.
 
-Used to select the dendrogram cut (paper section 5.1.1). The production
-path computes per-point cluster distance sums with a label-sorted column
-permutation and one :func:`np.add.reduceat` pass — O(n^2) total instead
-of the O(n^2 * k) dense indicator matmul, which matters because the cut
-sweep scores many candidate labelings with k in the hundreds. The matmul
-formulation is kept as :func:`silhouette_samples_reference`, the oracle
-the equivalence tests check against.
+The paper selects the dendrogram cut by average silhouette (section
+5.1.1); the cut stage scores its candidates with the incremental sweep
+(:func:`repro.core.clustering.silhouette_schedule`), and these
+from-scratch scorers are its oracles. :func:`silhouette_samples` sums
+per-cluster distances with a label-sorted column permutation and one
+:func:`np.add.reduceat` pass — O(n^2) instead of the O(n^2 * k) dense
+indicator matmul kept as :func:`silhouette_samples_reference`.
 """
 
 from __future__ import annotations

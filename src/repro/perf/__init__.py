@@ -17,8 +17,10 @@ O(n^2) stages on:
   (i, j) order with a provable no-missed-pair bound (certified screens
   guarantee total >= the blocking bound for every absent pair), plus
   :class:`SparsePairwise` candidate-sparse storage whose stored entries
-  are bitwise equal to the dense kernels', and a streaming cut-scoring
-  kernel that reproduces the dense silhouette bit for bit in
+  are bitwise equal to the dense kernels', and the silhouette sweep's
+  row-tile kernel (:func:`silhouette_rows`, streamed over recomputed
+  rows by :func:`cut_silhouette_tile`) that scores every candidate cut
+  in one pass, bit for bit the same for any tile split, in
   O(tile * n) memory;
 * :mod:`repro.perf.delta` — blocked query-vs-corpus delta kernels for
   incremental mining: candidate-blocked per-query nearest-row search
@@ -34,12 +36,14 @@ from repro.perf.blocking import (
     BlockingExactnessError,
     BlockingStats,
     CutScoringOperands,
+    SilhouetteSchedule,
     SparsePairwise,
     candidate_distance_tile,
     candidate_pairs_tile,
     component_labels,
     cut_silhouette_tile,
     prune_cross_component,
+    silhouette_rows,
 )
 from repro.perf.delta import (
     QueryNearest,
@@ -74,6 +78,7 @@ __all__ = [
     "PairwiseOperands",
     "QueryNearest",
     "QueryOperands",
+    "SilhouetteSchedule",
     "SparsePairwise",
     "Tile",
     "candidate_distance_tile",
@@ -91,6 +96,7 @@ __all__ = [
     "query_jaccard_distance_tile",
     "query_text_distance_tile",
     "row_tiles",
+    "silhouette_rows",
     "soft_cosine_similarity_tile",
     "square_to_condensed",
     "text_distance_tile",

@@ -444,28 +444,93 @@ def prune_cross_component(
 
 
 @dataclass(frozen=True)
-class CutScoringOperands:
-    """Inputs of the streaming cut-silhouette kernel.
+class SilhouetteSchedule:
+    """The incremental silhouette sweep's merges and candidates, no data.
 
-    One candidate labeling per entry of the tuples, each pre-digested
-    exactly as :func:`repro.core.silhouette.silhouette_samples` digests
-    labels: ``compact`` (labels remapped to 0..k-1 via ``np.unique``),
-    ``order`` (stable argsort of ``compact`` — the cluster-contiguous
-    column permutation), ``starts`` (each cluster's first position in
-    that order), and ``counts`` (cluster sizes, float64).  ``dtype`` is
-    the storage dtype the distance stage would have used, so the
-    recomputed rows are cast exactly as the dense assembly casts.
-
-    Plain arrays only: the payload crosses process boundaries under the
-    parallel execution plan.
+    The sweep keeps each point's MEAN distance to every live cluster in
+    a matrix ``M`` whose column ``j`` starts as leaf ``j``'s distances.
+    Merge ``i`` (``columns[i] = (a, b, last)``, ``sizes[i] = (size_a,
+    size_b)``) sets column ``a`` to ``(size_a * M[:, a] + size_b *
+    M[:, b]) / (size_a + size_b)`` and moves column ``last`` into the
+    freed slot ``b``, keeping the live block at ``M[:, :k]``.  Candidate
+    ``c`` is scored after ``stops[c]`` merges, with ``owns[c]`` each
+    point's own column, ``own_counts[c]`` its cluster size and ``ks[c]``
+    live columns.  Every step acts on one point's row, so row tiles sweep
+    independently and stack bit for bit.  Plain arrays only: the
+    schedule crosses process boundaries.
     """
+
+    n: int
+    thresholds: Tuple[float, ...]
+    columns: np.ndarray
+    sizes: np.ndarray
+    stops: Tuple[int, ...]
+    owns: Tuple[np.ndarray, ...]
+    own_counts: Tuple[np.ndarray, ...]
+    ks: Tuple[int, ...]
+
+    @property
+    def n_merges(self) -> int:
+        """Merges a sweep applies: the column operations scheduled."""
+        return int(self.columns.shape[0])
+
+
+def silhouette_rows(
+    schedule: SilhouetteSchedule, rows: np.ndarray, tile: Tile
+) -> np.ndarray:
+    """Per-point silhouettes of one row tile, shape ``(cuts, tile.size)``.
+
+    ``rows`` are the tile's distance rows.  ``M`` is held transposed (one
+    contiguous row per cluster), which changes no value: every update is
+    elementwise and ``b`` is a min.  Singleton points score 0.
+    """
+    if rows.shape != (tile.size, schedule.n):
+        raise ValueError(
+            f"distance rows of shape {rows.shape} do not match tile "
+            f"[{tile.start}, {tile.stop}) of {schedule.n} leaves"
+        )
+    means = np.array(rows.T, dtype=np.float64, order="C")
+    columns = schedule.columns.tolist()
+    sizes = schedule.sizes.tolist()
+    local = np.arange(tile.size)
+    out = np.empty((len(schedule.stops), tile.size), dtype=np.float64)
+    applied = 0
+    for c, stop in enumerate(schedule.stops):
+        for (col_a, col_b, last), (size_a, size_b) in zip(
+            columns[applied:stop], sizes[applied:stop]
+        ):
+            means[col_a] = (
+                size_a * means[col_a] + size_b * means[col_b]
+            ) / (size_a + size_b)
+            if col_b != last:
+                means[col_b] = means[last]
+        applied = stop
+        own = schedule.owns[c][tile.start:tile.stop]
+        own_counts = schedule.own_counts[c][tile.start:tile.stop]
+        live = means[:schedule.ks[c]]
+        own_means = live[own, local]
+        live[own, local] = np.inf
+        b = live.min(axis=0)
+        live[own, local] = own_means  # restore the masked entries
+        # sum-to-own / (count - 1), from the mean: sum = mean * count.
+        a = own_means * own_counts / np.maximum(own_counts - 1.0, 1.0)
+        denom = np.maximum(a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-12), 0.0)
+        s[own_counts == 1] = 0.0  # singleton convention
+        out[c] = s
+    return out
+
+
+@dataclass(frozen=True)
+class CutScoringOperands:
+    """Inputs of the streaming cut-silhouette kernel: the pairwise
+    operands rows are recomputed from, the storage ``dtype`` they are
+    cast to (as the dense assembly casts), and the sweep's schedule."""
 
     pairwise: PairwiseOperands
     dtype: str
-    compacts: Tuple[np.ndarray, ...]
-    orders: Tuple[np.ndarray, ...]
-    starts: Tuple[np.ndarray, ...]
-    counts: Tuple[np.ndarray, ...]
+    schedule: SilhouetteSchedule
 
 
 def cut_silhouette_tile(
@@ -473,39 +538,12 @@ def cut_silhouette_tile(
 ) -> np.ndarray:
     """Per-point silhouette values for every candidate cut, one row tile.
 
-    Recomputes the tile's combined-distance rows from the pairwise
-    operands — bitwise equal to the dense matrices' rows — and applies,
-    per candidate labeling, the identical permute / ``np.add.reduceat`` /
-    reduction sequence :func:`repro.core.silhouette.silhouette_samples`
-    runs on the full matrix.  Stacking the tiles therefore reproduces the
-    dense per-sample silhouette arrays bit for bit, with peak memory
-    O(tile.size * n) instead of O(n^2).
-
-    Returns an array of shape ``(n_candidates, tile.size)``.
+    Recomputes the tile's combined-distance rows once — bitwise the dense
+    matrix's rows — and sweeps them with :func:`silhouette_rows`, so the
+    stacked tiles are the dense sweep's values bit for bit, in
+    O(tile.size * n) memory.
     """
     text_rows, url_rows = combined_distance_tile(operands.pairwise, tile)
     total = ((text_rows + url_rows) / 2.0).astype(np.dtype(operands.dtype))
-    local = np.arange(tile.size)
-    out = np.empty((len(operands.compacts), tile.size), dtype=np.float64)
-    for c, (compact, order, starts, counts) in enumerate(
-        zip(
-            operands.compacts, operands.orders,
-            operands.starts, operands.counts,
-        )
-    ):
-        sums = np.add.reduceat(
-            total[:, order], starts, axis=1, dtype=np.float64
-        )
-        own = compact[tile.start:tile.stop]
-        own_counts = counts[own]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = sums[local, own] / np.maximum(own_counts - 1.0, 1.0)
-            mean_to = sums / np.maximum(counts[None, :], 1.0)
-        mean_to[local, own] = np.inf
-        b = mean_to.min(axis=1)
-        denom = np.maximum(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-12), 0.0)
-        s[own_counts == 1] = 0.0  # singleton convention
-        out[c] = s
-    return out
+    del text_rows, url_rows
+    return silhouette_rows(operands.schedule, total, tile)

@@ -7,10 +7,11 @@ from repro.core.clustering import (
     AgglomerativeClusterer,
     CutSelection,
     IncrementalCutSweep,
-    IncrementalSilhouetteSweep,
     evaluate_cuts,
+    silhouette_schedule,
 )
 from repro.core.silhouette import average_silhouette
+from repro.perf import Tile, silhouette_rows
 
 
 def random_linkage(rng, n):
@@ -59,6 +60,16 @@ class TestIncrementalCutSweep:
             sweep.labels_at(0.4)
 
 
+def sweep_scores(linkage, dist, thresholds):
+    """Average silhouette per scheduled threshold, one-block sweep."""
+    schedule = silhouette_schedule(linkage, thresholds)
+    samples = silhouette_rows(schedule, dist, Tile(0, linkage.n_leaves))
+    return {
+        t: float(samples[i].mean())
+        for i, t in enumerate(schedule.thresholds)
+    }
+
+
 class TestIncrementalSilhouetteSweep:
     def test_scores_match_rebuilt_silhouette(self):
         rng = np.random.default_rng(33)
@@ -68,32 +79,53 @@ class TestIncrementalSilhouetteSweep:
             heights = linkage.heights()
             quantiles = np.linspace(0.05, 0.95, 9)
             thresholds = sorted(set(float(np.quantile(heights, q)) for q in quantiles))
-            sweep = IncrementalSilhouetteSweep(linkage, dist)
+            scores = sweep_scores(linkage, dist, thresholds)
             for t in thresholds:
                 expected = average_silhouette(dist, linkage.cut(t))
-                got = sweep.score_at(t)
+                got = scores.get(t, -1.0)
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+                single = evaluate_cuts(linkage, dist, candidates=[t])
+                assert single.score == got
 
     def test_degenerate_cuts_score_minus_one(self):
         rng = np.random.default_rng(2)
         linkage, dist = random_linkage(rng, 12)
-        sweep = IncrementalSilhouetteSweep(linkage, dist)
-        assert sweep.score_at(-1.0) == -1.0  # every point its own cluster
-        assert sweep.score_at(2.0) == -1.0  # everything merged
+        # Every point its own cluster, and everything merged: neither is
+        # scheduled, and both score -1.0.
+        schedule = silhouette_schedule(linkage, [-1.0, 2.0])
+        assert schedule.thresholds == ()
+        assert schedule.n_merges == 0
+        for threshold in (-1.0, 2.0):
+            selection = evaluate_cuts(linkage, dist, candidates=[threshold])
+            assert selection.score == -1.0
 
     def test_rejects_decreasing_thresholds(self):
         rng = np.random.default_rng(5)
-        linkage, dist = random_linkage(rng, 10)
-        sweep = IncrementalSilhouetteSweep(linkage, dist)
-        sweep.score_at(0.6)
+        linkage, _ = random_linkage(rng, 10)
         with pytest.raises(ValueError):
-            sweep.score_at(0.1)
+            silhouette_schedule(linkage, [0.6, 0.1])
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(6)
         linkage, dist = random_linkage(rng, 10)
+        schedule = silhouette_schedule(
+            linkage, [float(np.median(linkage.heights()))]
+        )
         with pytest.raises(ValueError):
-            IncrementalSilhouetteSweep(linkage, dist[:8, :8])
+            evaluate_cuts(linkage, dist[:8, :8])
+        with pytest.raises(ValueError):
+            silhouette_rows(schedule, dist[:4, :8], Tile(0, 4))
+        with pytest.raises(ValueError):
+            silhouette_rows(schedule, dist[:4], Tile(0, 5))
+
+    def test_merges_swept_stop_at_the_highest_scored_cut(self):
+        rng = np.random.default_rng(8)
+        linkage, dist = random_linkage(rng, 30)
+        heights = linkage.heights()
+        median = float(np.median(heights))
+        selection = evaluate_cuts(linkage, dist, candidates=[median])
+        assert selection.merges_swept == int(np.sum(heights <= median))
+        assert selection.merges_swept < len(linkage.merges)
 
 
 class TestEvaluateCuts:

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import PushAdMiner
@@ -161,6 +162,30 @@ class TestStagedApi:
         miner = PushAdMiner.for_dataset(small_dataset, cut_threshold=0.2)
         result = miner.run(small_dataset.valid_records)
         assert result.cut_threshold == 0.2
+
+    def test_fixed_cut_scores_alike_dense_and_sparse(self, small_dataset):
+        records = small_dataset.valid_records
+        runs = {}
+        for storage, blocking in (("dense", "none"), ("sparse", "url")):
+            tracer = Tracer()
+            result = PushAdMiner.for_dataset(
+                small_dataset,
+                tracer=tracer,
+                cut_threshold=0.1,
+                storage=storage,
+                blocking=blocking,
+            ).run(records)
+            runs[storage] = (result, tracer.finish().find("pipeline.cut"))
+        dense, dense_cut = runs["dense"]
+        sparse, sparse_cut = runs["sparse"]
+        assert sparse.silhouette.hex() == dense.silhouette.hex()
+        assert sparse.labels.tobytes() == dense.labels.tobytes()
+        # merges_swept counts the merges the scorer applied (heights up
+        # to the cut), not the sparse linkage's placeholder tail.
+        swept = int(np.sum(dense.linkage.heights() <= 0.1))
+        assert dense_cut.metrics["merges_swept"] == swept
+        assert sparse_cut.metrics["merges_swept"] == swept
+        assert swept < len(sparse.linkage.merges)
 
 
 class TestGoldenRegression:

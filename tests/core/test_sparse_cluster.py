@@ -110,16 +110,48 @@ class TestEvaluateCutsSparse:
         assert parallel.score == serial.score
         np.testing.assert_array_equal(parallel.labels, serial.labels)
 
-    def test_fixed_threshold_matches_dense_average_silhouette(
+    def test_fixed_threshold_matches_dense_sweep(
         self, dense, sparse, dense_linkage, sparse_linkage
     ):
         selection = evaluate_cuts_sparse(
             sparse_linkage, sparse.operands, candidates=[0.1]
         )
+        want = evaluate_cuts(dense_linkage, dense.total, candidates=[0.1])
         labels = dense_linkage.cut(0.1)
         np.testing.assert_array_equal(selection.labels, labels)
-        assert selection.score == average_silhouette(dense.total, labels)
+        assert selection.score == want.score
+        assert selection.score == pytest.approx(
+            average_silhouette(dense.total, labels), rel=1e-9
+        )
         assert selection.n_candidates == 1
+
+    def test_one_distance_pass_whatever_the_candidate_count(
+        self, monkeypatch, sparse, sparse_linkage
+    ):
+        import repro.perf.blocking as blocking
+
+        calls = []
+        original = blocking.combined_distance_tile
+
+        def counting(operands, tile):
+            calls.append((tile.start, tile.stop))
+            return original(operands, tile)
+
+        monkeypatch.setattr(blocking, "combined_distance_tile", counting)
+        plan = ExecutionPlan(tile_size=48)
+        tiles = [(t.start, t.stop) for t in plan.tiles(sparse.size)]
+        scored = []
+        for candidates in ([0.1], [0.05, 0.1, 0.15, 0.2], None):
+            calls.clear()
+            selection = evaluate_cuts_sparse(
+                sparse_linkage,
+                sparse.operands,
+                plan=plan,
+                candidates=candidates,
+            )
+            scored.append(selection.n_candidates)
+            assert calls == tiles
+        assert scored[0] == 1 and scored[1] == 4 and scored[2] > 1
 
     def test_fully_exact_linkage_needs_no_certificate(
         self, dense, sparse, dense_linkage

@@ -30,13 +30,10 @@ class TestNullMemoryMeter:
 
 class TestTracemallocMeter:
     @pytest.fixture(autouse=True)
-    def stop_tracing_after(self):
-        # The meter leaves tracemalloc running once started; left on, it
-        # slows every allocation in the rest of the session ~3x.
+    def leaves_tracing_as_found(self):
         was_tracing = tracemalloc.is_tracing()
         yield
-        if not was_tracing:
-            tracemalloc.stop()
+        assert tracemalloc.is_tracing() == was_tracing
 
     def test_measures_a_known_allocation(self):
         meter = TracemallocMeter()
@@ -71,3 +68,27 @@ class TestTracemallocMeter:
             if mem.peak_bytes is not None:
                 span.gauge("peak_bytes", mem.peak_bytes)
         assert tracer.root.find("stage").metrics["peak_bytes"] >= (1 << 16) * 8
+
+    def test_tracing_stops_with_the_block_that_started_it(self):
+        was_tracing = tracemalloc.is_tracing()
+        meter = TracemallocMeter()
+        with meter.measure() as outer:
+            with meter.measure() as inner:
+                block = np.zeros(1 << 16)
+                del block
+            assert tracemalloc.is_tracing()
+            assert inner.peak_bytes >= (1 << 16) * 8
+            block = np.zeros(1 << 17)
+            del block
+        assert tracemalloc.is_tracing() == was_tracing
+        assert outer.peak_bytes >= (1 << 17) * 8
+
+    def test_leaves_a_callers_tracing_running(self):
+        tracemalloc.start()
+        try:
+            with TracemallocMeter().measure() as reading:
+                _ = bytearray(1 << 10)
+            assert tracemalloc.is_tracing()
+            assert reading.peak_bytes is not None
+        finally:
+            tracemalloc.stop()

@@ -14,17 +14,19 @@ import pytest
 from repro import paper_scenario, run_full_crawl
 from repro.analysis.sanitizer import DetSan
 from repro.core.distance import compute_distances
-from repro.core.silhouette import average_silhouette, silhouette_samples
+from repro.core.silhouette import average_silhouette
 from repro.perf import (
     DEFAULT_SPARSE_BOUND,
     CutScoringOperands,
     ExecutionPlan,
     SparsePairwise,
+    Tile,
     candidate_distance_tile,
     candidate_pairs_tile,
     component_labels,
     cut_silhouette_tile,
     prune_cross_component,
+    silhouette_rows,
 )
 
 
@@ -241,36 +243,31 @@ class TestComponentsAndPrune:
 
 
 class TestCutSilhouetteTile:
-    def _digest(self, labels):
-        unique, compact = np.unique(labels, return_inverse=True)
-        k = unique.size
-        counts = np.bincount(compact, minlength=k).astype(np.float64)
-        order = np.argsort(compact, kind="stable")
-        starts = np.zeros(k, dtype=np.intp)
-        starts[1:] = np.cumsum(counts[:-1]).astype(np.intp)
-        return compact, order, starts, counts
-
-    def test_bitwise_matches_silhouette_samples(self, sparse, dense):
-        from repro.core.clustering import AgglomerativeClusterer
+    def test_bitwise_matches_dense_sweep(self, sparse, dense):
+        from repro.core.clustering import (
+            AgglomerativeClusterer,
+            silhouette_schedule,
+        )
 
         linkage = AgglomerativeClusterer().fit(dense.total)
-        labelings = [linkage.cut(t) for t in (0.1, 0.2)]
-        digests = [self._digest(labels) for labels in labelings]
+        thresholds = (0.1, 0.2)
+        schedule = silhouette_schedule(linkage, thresholds)
+        assert schedule.thresholds == thresholds
         operands = CutScoringOperands(
-            pairwise=sparse.operands,
-            dtype="float64",
-            compacts=tuple(d[0] for d in digests),
-            orders=tuple(d[1] for d in digests),
-            starts=tuple(d[2] for d in digests),
-            counts=tuple(d[3] for d in digests),
+            pairwise=sparse.operands, dtype="float64", schedule=schedule
         )
-        for plan in (ExecutionPlan(tile_size=48), ExecutionPlan(tile_size=23)):
+        # The one-block dense sweep: the whole square as a single tile.
+        whole = silhouette_rows(schedule, dense.total, Tile(0, sparse.size))
+        for tile_size in (1, 23, 48, sparse.size):
+            plan = ExecutionPlan(tile_size=tile_size)
             tiles = plan.tiles(sparse.size)
             parts = list(plan.stream(cut_silhouette_tile, operands, tiles))
             samples = np.concatenate(parts, axis=1)
-            for index, labels in enumerate(labelings):
-                reference = silhouette_samples(dense.total, labels)
-                assert samples[index].tobytes() == reference.tobytes()
-                assert float(samples[index].mean()) == average_silhouette(
-                    dense.total, labels
-                )
+            assert samples.tobytes() == whole.tobytes()
+        for index, threshold in enumerate(thresholds):
+            reference = average_silhouette(
+                dense.total, linkage.cut(threshold)
+            )
+            assert float(samples[index].mean()) == pytest.approx(
+                reference, rel=1e-9
+            )
