@@ -99,7 +99,7 @@ PYEOF
 # per-tile checksums verified against canonical recomputes — and demand
 # the same output bytes as an unperturbed run. The permutation seed is
 # randomized per invocation (printed for replay; pin with DETSAN_SEED).
-step "DetSan (crawl_workers=2 byte-identity + miner stage sweep under permuted order)"
+step "DetSan (crawl_workers=2 byte-identity + dense and sparse miner sweeps under permuted order)"
 DETSAN_SEED="${DETSAN_SEED:-$RANDOM}" python - <<'PYEOF' || failures=$((failures + 1))
 import dataclasses, json, os
 
@@ -137,6 +137,24 @@ print(
     f"DetSan miner: stage sweep identical "
     f"({san.report.fs_shuffled} enumeration(s) shuffled, "
     f"{san.report.tiles_checksummed} tile(s) checksummed)"
+)
+
+# The other exact storage: the sparse mine streams the blocking kernel
+# and the cut's silhouette tiles through ExecutionPlan. Small tiles give
+# the permutation several tiles to shuffle at this scale.
+sparse = PushAdMiner.for_dataset(
+    plain, storage="sparse", blocking="url", tile_size=64
+)
+baseline = _checksum(sparse.run(plain.valid_records))
+with DetSan(seed=seed + 2, verify_tiles=True) as san:
+    shaken = _checksum(sparse.run(plain.valid_records))
+assert san.report.streams_permuted > 0, "sanitizer never engaged the mine"
+assert not san.report.divergences, san.report.divergences
+assert baseline == shaken, "sparse miner output changed under DetSan"
+print(
+    f"DetSan sparse miner: identical under "
+    f"{san.report.streams_permuted} permuted stream(s), "
+    f"{san.report.tiles_verified} tile(s) verified"
 )
 PYEOF
 

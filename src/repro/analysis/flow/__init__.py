@@ -34,8 +34,7 @@ the interprocedural layer:
 * :class:`~repro.analysis.flow.promotion.DtypePromotionPass`
   (rule ``flow-dtype-promotion``) — reports implicit float32/float64
   mixes (including through returned arrays), int/int true division, and
-  Python-float accumulation on kernel-region-to-sink paths, with
-  ``precision``-knob branches modeled as sanctioned casts;
+  Python-float accumulation on kernel-region-to-sink paths;
 * :class:`~repro.analysis.flow.ordering.UnstableOrderPass`
   (rule ``flow-unstable-order``) — reports default-``kind`` argsorts,
   single-key lexsorts, and float-keyed ``sorted()`` calls whose tie

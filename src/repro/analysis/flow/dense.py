@@ -16,7 +16,7 @@ guards exclude explicitly-dense branches (``if storage == "dense":``,
 allocations never fire because a tile extent is not ``big``.
 
 This is the one guard of the O(n^2) contract. A dense-expansion helper
-such as ``condensed_to_square`` is not a root and carries no sanction,
+(an expand-to-square routine) is not a root and carries no sanction,
 so kernel code that reaches it is reported with that caller at
 ``chain[0]``, while dense-mode callers outside the region stay legal.
 
@@ -99,7 +99,7 @@ class DenseAllocPass:
             f"O(n^2) allocation {alloc.what}(({dims})) in the sparse/parallel "
             f"kernel region — {reason}, reachable from "
             f"'{root[0]}.{root[1]}' in {hops} call hop(s); stream O(tile*n) "
-            f"rows or keep condensed/sparse storage "
+            f"rows or keep sparse storage "
             f"(--explain prints the chain)"
         )
         chain = tuple(

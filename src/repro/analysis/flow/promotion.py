@@ -22,11 +22,10 @@ them along the call graph and reports them **at the sink**, exactly like
 returned from) the :class:`~repro.analysis.flow.scope.KernelScope`
 kernel region, so ad-hoc float math in dense-mode-only code stays quiet.
 
-The ``precision`` knob is modeled through path guards: an event inside
-``if precision == "float32":`` (or any ``precision``-keyed branch) is a
-*sanctioned cast* and never fires. Inline ``# pushlint:
-disable=flow-dtype-promotion`` on the event line sanctions a site
-globally; on the sink's ``def`` line it suppresses that sink's findings.
+The pipeline computes in float64 only, so no branch sanctions a mix:
+inline ``# pushlint: disable=flow-dtype-promotion`` on the event line
+sanctions a site globally; on the sink's ``def`` line it suppresses that
+sink's findings.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ from repro.analysis.flow.summary import DtypeEvent
 from repro.analysis.flow.taint import FlowFinding, _is_sink
 
 RULE_ID = "flow-dtype-promotion"
-
-
-def _precision_guarded(guards: Tuple[str, ...]) -> bool:
-    """True when a ``precision`` knob comparison dominates the event."""
-    return any(atom.startswith("precision") for atom in guards)
 
 
 class DtypePromotionPass:
@@ -103,8 +97,6 @@ class DtypePromotionPass:
         self, reached: FuncKey, event: DtypeEvent
     ) -> Optional[str]:
         """Firing description for an event, or None when it stays quiet."""
-        if _precision_guarded(event.guards):
-            return None
         left, left_via = resolve_dtype(self.index, event.left)
         right, right_via = resolve_dtype(self.index, event.right)
         in_scope = reached in self.scope or any(

@@ -10,7 +10,7 @@ Three pieces, all deterministic and all consuming only
   (c) functions with a ``Sparse*``-annotated parameter, and (d) methods
   of ``Sparse*`` classes. A Theta(n^2) allocation matters exactly when it
   lives in this region — dense-mode code outside it is allowed to be
-  dense. A dense-expansion helper such as ``condensed_to_square`` is not
+  dense. A dense-expansion helper (an expand-to-square routine) is not
   a root: its allocation is reported exactly when kernel code reaches
   it, with that caller at the head of the chain.
 

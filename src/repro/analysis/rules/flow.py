@@ -79,7 +79,7 @@ class FlowDenseAllocRule(FlowRule):
         "region — ExecutionPlan-shipped kernels, storage=\"sparse\"-guarded "
         "paths, Sparse* surfaces — may allocate or broadcast a dense array "
         "whose symbolic size is quadratic in the record count; stream "
-        "O(tile*n) rows or keep condensed/sparse storage"
+        "O(tile*n) rows or keep sparse storage"
     )
 
 
@@ -89,8 +89,8 @@ class FlowDtypePromotionRule(FlowRule):
     description: ClassVar[str] = (
         "whole-program (--flow): no implicit float32/float64 mix, int/int "
         "true division, or Python-float sum() accumulation on a path from "
-        "the kernel region to an emit/serialization sink — casts must go "
-        "through the precision knob or a sanctioned inline directive"
+        "the kernel region to an emit/serialization sink — a deliberate "
+        "cast needs a sanctioned inline directive"
     )
 
 

@@ -41,13 +41,10 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for crawl session shards "
                              "(the dataset is byte-identical for any "
                              "count; default 1 = serial)")
-    parser.add_argument("--storage", choices=("dense", "condensed", "sparse"),
+    parser.add_argument("--storage", choices=("dense", "sparse"),
                         default="dense",
                         help="distance matrix storage; sparse avoids the "
-                             "O(n^2) matrices via candidate blocking and "
-                             "requires --blocking url")
-    parser.add_argument("--blocking", choices=("none", "url"), default="none",
-                        help="candidate blocking stage for the sparse path "
+                             "O(n^2) matrices via URL candidate blocking "
                              "(results stay bit-identical to dense)")
     parser.add_argument("--blocking-bound", type=float, default=None,
                         help="blocking recall bound in (0, 0.5] "
@@ -61,7 +58,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 def _miner_overrides(args) -> dict:
     """MinerConfig overrides shared by every pipeline-running command."""
     overrides = dict(
-        workers=args.workers, storage=args.storage, blocking=args.blocking
+        workers=args.workers,
+        storage=args.storage,
+        blocking="url" if args.storage == "sparse" else "none",
     )
     if args.blocking_bound is not None:
         overrides["blocking_bound"] = args.blocking_bound

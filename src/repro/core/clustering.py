@@ -30,7 +30,6 @@ from repro.perf import (
     SilhouetteSchedule,
     SparsePairwise,
     component_labels,
-    condensed_to_square,
     cut_silhouette_tile,
     row_tiles,
     silhouette_rows,
@@ -183,32 +182,19 @@ class AgglomerativeClusterer:
     def fit(self, distances: Union[np.ndarray, SparsePairwise]) -> Linkage:
         """Build the dendrogram from a pairwise distance matrix.
 
-        Accepts a symmetric square matrix, condensed storage
-        (strict-upper-triangle, :mod:`repro.perf.condensed` layout), or a
-        candidate-sparse :class:`~repro.perf.SparsePairwise` graph.  The
-        dense forms work on a fresh float64 square work matrix; the
-        sparse form runs the certified sparse-graph Lance-Williams path
-        (average linkage only) and records its exactness certificate on
-        the returned :class:`Linkage`.
+        Accepts a symmetric square matrix or a candidate-sparse
+        :class:`~repro.perf.SparsePairwise` graph.  The square works on a
+        fresh float64 copy; the sparse form runs the certified
+        sparse-graph Lance-Williams path (average linkage only) and
+        records its exactness certificate on the returned
+        :class:`Linkage`.
         """
         if isinstance(distances, SparsePairwise):
             return self._fit_sparse(distances)
-        if distances.ndim == 1:
-            # Condensed storage: m = n(n-1)/2 entries; solve for n. The
-            # expansion is already a fresh float64 square, so it doubles
-            # as the work matrix without another copy.
-            m = distances.size
-            n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
-            if n * (n - 1) // 2 != m:
-                raise ValueError(
-                    f"{m} entries is not a valid condensed matrix size"
-                )
-            work = condensed_to_square(distances, n, dtype=np.float64)
-        elif distances.ndim == 2 and distances.shape[0] == distances.shape[1]:
-            n = distances.shape[0]
-            work = distances.astype(np.float64, copy=True)
-        else:
-            raise ValueError("distance matrix must be square or condensed")
+        if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
+            raise ValueError("distance matrix must be square")
+        n = distances.shape[0]
+        work = distances.astype(np.float64, copy=True)
         if n <= 1:
             return Linkage(n, [])
         np.fill_diagonal(work, np.inf)
@@ -689,52 +675,6 @@ class CutSelection:
     merges_swept: int = 0  # merges applied, up to the highest scored cut
 
 
-class IncrementalCutSweep:
-    """Flat labelings at nondecreasing thresholds, maintained incrementally.
-
-    :meth:`Linkage.cut` rebuilds a :class:`UnionFind` over every merge for
-    each threshold. A sweep instead walks the height-sorted merges once:
-    advancing to a higher threshold only applies the merges in between,
-    and relabeling is O(n). The union sequence for any threshold is a
-    prefix of the same order :meth:`Linkage.cut` uses, so the labels are
-    identical array-for-array — a property the tests assert.
-    """
-
-    def __init__(self, linkage: Linkage):
-        self._linkage = linkage
-        self._uf = UnionFind(range(linkage.n_leaves))
-        for merge in linkage.merges:
-            self._uf.add(merge.new_id)
-        self._position = 0
-        self._last_threshold = -np.inf
-
-    def labels_at(self, threshold: float) -> np.ndarray:
-        """Cluster labels at ``threshold`` (must be nondecreasing)."""
-        if threshold < self._last_threshold:
-            raise ValueError(
-                f"sweep thresholds must be nondecreasing: {threshold} < "
-                f"{self._last_threshold}"
-            )
-        self._last_threshold = threshold
-        merges = self._linkage.merges
-        while (
-            self._position < len(merges)
-            and merges[self._position].height <= threshold
-        ):
-            merge = merges[self._position]
-            self._uf.union(merge.id_a, merge.new_id)
-            self._uf.union(merge.id_b, merge.new_id)
-            self._position += 1
-        labels = np.empty(self._linkage.n_leaves, dtype=np.int64)
-        canon: Dict[object, int] = {}
-        for leaf in range(self._linkage.n_leaves):
-            root = self._uf.find(leaf)
-            if root not in canon:
-                canon[root] = len(canon)
-            labels[leaf] = canon[root]
-        return labels
-
-
 def _dependency_order(linkage: Linkage) -> List[Merge]:
     """Height-sorted merges, reordered so children precede parents.
 
@@ -928,6 +868,18 @@ def _candidate_thresholds(
     return [min(float(heights[0]), max_threshold)], True, raw
 
 
+def _unmerged_cut(
+    linkage: Linkage, candidates: Optional[Sequence[float]]
+) -> CutSelection:
+    """The cut of a linkage without merges: nothing to score (0.0), at
+    the first given candidate (else 0.0), with every candidate counted."""
+    candidate_list = [float(t) for t in candidates or ()]
+    threshold = candidate_list[0] if candidate_list else 0.0
+    return CutSelection(
+        threshold, linkage.cut(threshold), 0.0, len(candidate_list)
+    )
+
+
 def evaluate_cuts(
     linkage: Linkage,
     distances: np.ndarray,
@@ -950,7 +902,7 @@ def evaluate_cuts(
     """
     heights = linkage.heights()
     if heights.size == 0:
-        return CutSelection(0.0, linkage.cut(0.0), 0.0, 0)
+        return _unmerged_cut(linkage, candidates)
     if candidates is None:
         candidates, _, _ = _candidate_thresholds(
             heights,
@@ -981,7 +933,6 @@ def evaluate_cuts_sparse(
     operands: PairwiseOperands,
     *,
     plan: Optional[ExecutionPlan] = None,
-    dtype: str = "float64",
     candidates: Optional[Sequence[float]] = None,
     max_candidates: int = 24,
     min_cluster_fraction: float = 0.33,
@@ -1023,7 +974,7 @@ def evaluate_cuts_sparse(
     """
     heights = linkage.heights()
     if heights.size == 0:
-        return CutSelection(0.0, linkage.cut(0.0), 0.0, 0)
+        return _unmerged_cut(linkage, candidates)
     n = linkage.n_leaves
     floor = linkage.height_floor
     n_exact = linkage.exact_merges
@@ -1083,9 +1034,7 @@ def evaluate_cuts_sparse(
             )
 
     schedule = silhouette_schedule(linkage, sorted(set(candidate_list)))
-    cut_operands = CutScoringOperands(
-        pairwise=operands, dtype=dtype, schedule=schedule
-    )
+    cut_operands = CutScoringOperands(pairwise=operands, schedule=schedule)
     the_plan = plan if plan is not None else ExecutionPlan()
     parts = the_plan.stream(cut_silhouette_tile, cut_operands, the_plan.tiles(n))
     return _select_scored(linkage, candidate_list, schedule, parts)

@@ -4,13 +4,12 @@ The pairwise matrices are assembled tile by tile from the blocked kernels
 in :mod:`repro.perf.kernels` under an injectable
 :class:`~repro.perf.ExecutionPlan` (serial by default, process-parallel
 opt-in) — results are bit-identical for any tile size or worker count.
-Dense float64 is the default; ``precision="float32"`` and
-``storage="condensed"`` (strict upper triangle of ``total`` only) are
-opt-in footprint reducers.  ``storage="sparse"`` (paired with
-``blocking="url"``) keeps only the entries surviving the blocking
-stage's certified screens — every absent pair provably has total
-distance >= the blocking bound (see :mod:`repro.perf.blocking`) — and
-stores them bitwise equal to the dense kernels' output.
+Both storages are exact float64.  ``storage="dense"`` (the default and
+the test oracle) holds full squares.  ``storage="sparse"`` runs the URL
+blocking stage and keeps only the entries surviving its certified
+screens — every absent pair provably has total distance >= the blocking
+bound (see :mod:`repro.perf.blocking`) — stored bitwise equal to the
+dense kernels' output.
 """
 
 from __future__ import annotations
@@ -34,14 +33,10 @@ from repro.perf import (
     candidate_distance_tile,
     combined_distance_tile,
     component_labels,
-    condensed_size,
-    condensed_to_square,
     prune_cross_component,
 )
 
-PRECISIONS = ("float64", "float32")
-STORAGES = ("dense", "condensed", "sparse")
-BLOCKINGS = ("none", "url")
+STORAGES = ("dense", "sparse")
 
 Matrix = Union[np.ndarray, SparsePairwise]
 
@@ -50,19 +45,16 @@ Matrix = Union[np.ndarray, SparsePairwise]
 class DistanceMatrices:
     """The pairwise matrices the clustering stage consumes.
 
-    In the default dense storage, ``text``, ``url``, and ``total`` are all
-    square. In condensed storage only ``total`` is kept, as the strict
-    upper triangle (row-major, :mod:`repro.perf.condensed` layout) — pass
-    ``n`` to size it; ``text`` and ``url`` are ``None``. In sparse
-    storage all three are :class:`~repro.perf.SparsePairwise` holding
-    only the blocking stage's certified entries (absent pairs provably
-    have total >= the blocking bound), sharing one index structure.
+    In dense storage ``text``, ``url``, and ``total`` are float64
+    squares.  In sparse storage all three are
+    :class:`~repro.perf.SparsePairwise` holding only the blocking stage's
+    certified entries (absent pairs provably have total >= the blocking
+    bound), sharing one index structure.
     """
 
-    text: Optional[Matrix]
-    url: Optional[Matrix]
+    text: Matrix
+    url: Matrix
     total: Matrix
-    n: Optional[int] = None
     #: Sparse storage only: the kernel operands the matrices were computed
     #: from, retained so downstream stages (cut scoring) can recompute any
     #: full distance tile bit-identically instead of densifying.
@@ -72,63 +64,41 @@ class DistanceMatrices:
 
     def __post_init__(self):
         if isinstance(self.total, SparsePairwise):
-            if self.n is None:
-                self.n = self.total.n
-            elif self.n != self.total.n:
-                raise ValueError("n does not match the sparse matrix")
+            n = self.total.n
             for name in ("text", "url"):
                 matrix = getattr(self, name)
-                if matrix is not None and not (
-                    isinstance(matrix, SparsePairwise)
-                    and matrix.n == self.n
-                ):
+                if not (isinstance(matrix, SparsePairwise) and matrix.n == n):
                     raise ValueError(
-                        f"{name} must be a SparsePairwise over n={self.n}"
+                        f"{name} must be a SparsePairwise over n={n}"
                     )
             return
-        if self.total.ndim == 2:
-            if self.total.shape[0] != self.total.shape[1]:
-                raise ValueError("total distance matrix must be square")
-            if self.n is None:
-                self.n = self.total.shape[0]
-            elif self.n != self.total.shape[0]:
-                raise ValueError("n does not match the total matrix shape")
-        elif self.total.ndim == 1:
-            if self.n is None:
-                raise ValueError("condensed storage requires an explicit n")
-            if self.total.size != condensed_size(self.n):
-                raise ValueError(
-                    f"condensed total for n={self.n} needs "
-                    f"{condensed_size(self.n)} entries, got {self.total.size}"
-                )
-        else:
-            raise ValueError("total must be a square matrix or condensed 1-D")
+        if self.total.ndim != 2 or self.total.shape[0] != self.total.shape[1]:
+            raise ValueError("total distance matrix must be square")
         for name in ("text", "url"):
             matrix = getattr(self, name)
-            if matrix is None:
-                continue
-            if matrix.ndim != 2 or matrix.shape != (self.n, self.n):
+            if (
+                isinstance(matrix, SparsePairwise)
+                or matrix.shape != self.total.shape
+            ):
                 raise ValueError(f"{name} distance matrix must be square")
 
     @property
     def size(self) -> int:
-        assert self.n is not None  # __post_init__ always resolves it
-        return self.n
+        """The number of records the matrices cover."""
+        if isinstance(self.total, SparsePairwise):
+            return self.total.n
+        return int(self.total.shape[0])
 
     @property
     def storage(self) -> str:
-        """``"dense"``, ``"condensed"``, or ``"sparse"`` from ``total``."""
-        if isinstance(self.total, SparsePairwise):
-            return "sparse"
-        return "condensed" if self.total.ndim == 1 else "dense"
+        """``"dense"`` or ``"sparse"``, from ``total``."""
+        return "sparse" if isinstance(self.total, SparsePairwise) else "dense"
 
     @property
     def component_bytes(self) -> int:
         """Bytes held by every materialized matrix (text + url + total)."""
         total = 0
         for m in (self.text, self.url, self.total):
-            if m is None:
-                continue
             if isinstance(m, SparsePairwise):
                 # The three sparse components share one index structure;
                 # count it once (on total) and the values everywhere.
@@ -139,11 +109,10 @@ class DistanceMatrices:
                 total += int(m.nbytes)
         return total
 
-    def total_square(self, dtype: Optional[np.dtype] = None) -> np.ndarray:
+    def total_square(self) -> np.ndarray:
         """The combined distance as a square matrix.
 
-        Dense storage returns ``total`` as-is (no copy) unless a different
-        ``dtype`` is requested; condensed storage expands.  Sparse storage
+        Dense storage returns ``total`` as-is (no copy).  Sparse storage
         refuses: non-candidate entries are unknown (only bounded below),
         so there is no dense matrix to return — oracle code that really
         wants the candidate picture uses ``total.to_square(...)``.
@@ -154,13 +123,7 @@ class DistanceMatrices:
                 "unknown (>= the blocking bound); use the sparse-aware "
                 "sweeps, or SparsePairwise.to_square(fill) in oracle code"
             )
-        if self.total.ndim == 2:
-            if dtype is None or self.total.dtype == np.dtype(dtype):
-                return self.total
-            return self.total.astype(dtype)
-        # The explicit densify API: dense-mode code outside the kernel
-        # region, so flow-dense-alloc does not police it.
-        return condensed_to_square(self.total, self.size, dtype=dtype)
+        return self.total
 
 
 def compute_distances(
@@ -169,9 +132,7 @@ def compute_distances(
     text_model: Optional[SoftCosineModel] = None,
     *,
     plan: Optional[ExecutionPlan] = None,
-    precision: str = "float64",
     storage: str = "dense",
-    blocking: str = "none",
     blocking_bound: float = DEFAULT_SPARSE_BOUND,
 ) -> DistanceMatrices:
     """Full pairwise distances for a corpus of valid WPN records.
@@ -186,26 +147,13 @@ def compute_distances(
 
     ``plan`` controls tiling and parallelism (serial,
     :data:`~repro.perf.DEFAULT_TILE_SIZE` tiles by default); any plan
-    yields bit-identical matrices. Every tile is computed in float64;
-    ``precision="float32"`` casts on store. ``storage="condensed"`` keeps
-    only the upper triangle of ``total`` (``text``/``url`` are ``None``).
-    ``storage="sparse"`` requires ``blocking="url"`` (and vice versa):
-    only the entries surviving the blocking stage's certified screens are
-    materialized, bitwise equal to the dense entries, with every absent
-    pair certified >= ``blocking_bound``.
+    yields bit-identical float64 matrices. ``storage="sparse"`` runs the
+    URL blocking stage: only the entries surviving its certified screens
+    are materialized, bitwise equal to the dense entries, with every
+    absent pair certified >= ``blocking_bound``.
     """
-    if precision not in PRECISIONS:
-        raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
     if storage not in STORAGES:
         raise ValueError(f"storage must be one of {STORAGES}, got {storage!r}")
-    if blocking not in BLOCKINGS:
-        raise ValueError(f"blocking must be one of {BLOCKINGS}, got {blocking!r}")
-    if (storage == "sparse") != (blocking == "url"):
-        raise ValueError(
-            "storage='sparse' and blocking='url' must be enabled together: "
-            "sparse storage holds exactly the candidate entries the "
-            "blocking stage certifies"
-        )
     if not 0.0 < blocking_bound <= 0.5:
         raise ValueError(
             f"blocking_bound must be in (0, 0.5], got {blocking_bound}"
@@ -236,7 +184,6 @@ def compute_distances(
 
     plan = plan if plan is not None else ExecutionPlan()
     n = len(records)
-    dtype = np.float64 if precision == "float64" else np.float32
     tiles = plan.tiles(n)
 
     if storage == "sparse":
@@ -263,9 +210,9 @@ def compute_distances(
         )
         text_data = np.concatenate(text_parts)
         url_data = np.concatenate(url_parts)
-        # Assemble exactly as the dense branch does: float64 mean of the
-        # channels, then one cast on store.
-        total_data = ((text_data + url_data) / 2.0).astype(dtype)
+        # Assemble exactly as the dense branch does: the mean of the
+        # channels.
+        total_data = (text_data + url_data) / 2.0
         candidate = SparsePairwise(
             n, indptr, indices, total_data, bound=blocking_bound
         )
@@ -287,43 +234,29 @@ def compute_distances(
         kept_indices = indices[keep]
         return DistanceMatrices(
             text=SparsePairwise(
-                n, kept_indptr, kept_indices, text_data[keep].astype(dtype),
+                n, kept_indptr, kept_indices, text_data[keep],
                 bound=blocking_bound,
             ),
             url=SparsePairwise(
-                n, kept_indptr, kept_indices, url_data[keep].astype(dtype),
+                n, kept_indptr, kept_indices, url_data[keep],
                 bound=blocking_bound,
             ),
             total=SparsePairwise(
                 n, kept_indptr, kept_indices, total_data[keep],
                 bound=blocking_bound,
             ),
-            n=n,
             operands=operands,
             blocking_stats=stats,
         )
 
-    results = plan.stream(combined_distance_tile, operands, tiles)
-
-    if storage == "dense":
-        text_out = np.empty((n, n), dtype=dtype)
-        url_out = np.empty((n, n), dtype=dtype)
-        total_out = np.empty((n, n), dtype=dtype)
-        for tile, (text_rows, url_rows) in zip(tiles, results):
-            span = slice(tile.start, tile.stop)
-            text_out[span] = text_rows
-            url_out[span] = url_rows
-            total_out[span] = (text_rows + url_rows) / 2.0
-        return DistanceMatrices(text=text_out, url=url_out, total=total_out)
-
-    condensed = np.empty(condensed_size(n), dtype=dtype)
-    offset = 0
-    for tile, (text_rows, url_rows) in zip(tiles, results):
-        total_rows = (text_rows + url_rows) / 2.0
-        for i in range(tile.start, tile.stop):
-            length = n - i - 1
-            condensed[offset : offset + length] = total_rows[
-                i - tile.start, i + 1 :
-            ]
-            offset += length
-    return DistanceMatrices(text=None, url=None, total=condensed, n=n)
+    text_out = np.empty((n, n))
+    url_out = np.empty((n, n))
+    total_out = np.empty((n, n))
+    for tile, (text_rows, url_rows) in zip(
+        tiles, plan.stream(combined_distance_tile, operands, tiles)
+    ):
+        span = slice(tile.start, tile.stop)
+        text_out[span] = text_rows
+        url_out[span] = url_rows
+        total_out[span] = (text_rows + url_rows) / 2.0
+    return DistanceMatrices(text=text_out, url=url_out, total=total_out)

@@ -45,13 +45,7 @@ from repro.core.clustering import (
     evaluate_cuts,
     evaluate_cuts_sparse,
 )
-from repro.core.distance import (
-    BLOCKINGS,
-    PRECISIONS,
-    STORAGES,
-    DistanceMatrices,
-    compute_distances,
-)
+from repro.core.distance import STORAGES, DistanceMatrices, compute_distances
 from repro.core.features import WpnFeatures, extract_all
 from repro.core.labeling import LabelingResult, label_malicious_clusters
 from repro.core.metacluster import MetaCluster, build_meta_clusters, meta_of_cluster
@@ -269,18 +263,19 @@ class MinerConfig:
     :meth:`from_scenario` derives them from a
     :class:`~repro.webenv.scenario.ScenarioConfig` instead.
 
-    The performance knobs (``tile_size``, ``workers``, ``precision``,
-    ``storage``) select how the pairwise-distance stage executes without
-    changing *what* it computes: any tile size or worker count yields
-    bit-identical matrices, while ``precision="float32"`` /
-    ``storage="condensed"`` trade exactness for footprint (see
-    ``docs/PERFORMANCE.md``). ``blocking="url"`` + ``storage="sparse"``
-    (the two imply each other) route the distance, linkage, and cut
-    stages through the exactness-certified candidate graph of
-    :mod:`repro.perf.blocking` — same merge sequence, threshold, and
-    labels as dense, without the O(n^2) matrices; ``blocking_bound``
-    sets the certification bound (every absent pair provably has total
-    distance >= it). ``crawl_workers`` does
+    The performance knobs (``tile_size``, ``workers``, ``storage``)
+    select how the pairwise-distance stage executes without changing
+    *what* it computes: any tile size or worker count yields
+    bit-identical matrices.  ``storage="sparse"`` routes the distance,
+    linkage, and cut stages through the exactness-certified candidate
+    graph of :mod:`repro.perf.blocking` — same merge sequence, threshold,
+    and labels as the default ``"dense"``, without the O(n^2) matrices;
+    ``blocking_bound`` sets the certification bound (every absent pair
+    provably has total distance >= it).  ``precision`` and ``blocking``
+    are recorded snapshot provenance (the config fingerprint hashes every
+    field), not choices: ``precision`` must be ``"float64"``, and
+    ``blocking`` must be ``"url"`` exactly when ``storage`` is
+    ``"sparse"`` (else ``"none"``).  ``crawl_workers`` does
     the same for the crawl that *produces* a dataset: shards of container
     sessions fan out to that many processes with byte-identical results
     for any value (the CLI and benchmarks thread it into
@@ -319,23 +314,20 @@ class MinerConfig:
             raise ValueError("workers must be >= 1")
         if self.crawl_workers < 1:
             raise ValueError("crawl_workers must be >= 1")
-        if self.precision not in PRECISIONS:
+        if self.precision != "float64":
             raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
+                f"precision must be 'float64', got {self.precision!r}"
             )
         if self.storage not in STORAGES:
             raise ValueError(
                 f"storage must be one of {STORAGES}, got {self.storage!r}"
             )
-        if self.blocking not in BLOCKINGS:
+        blocking = "url" if self.storage == "sparse" else "none"
+        if self.blocking != blocking:
             raise ValueError(
-                f"blocking must be one of {BLOCKINGS}, got {self.blocking!r}"
-            )
-        if (self.storage == "sparse") != (self.blocking == "url"):
-            raise ValueError(
-                "storage='sparse' and blocking='url' must be enabled "
-                "together: sparse storage holds exactly the candidate "
-                "entries the blocking stage certifies"
+                f"storage={self.storage!r} requires blocking={blocking!r}, "
+                f"got {self.blocking!r}: sparse storage holds exactly the "
+                "candidate entries the URL blocking stage certifies"
             )
         if not 0.0 < self.blocking_bound <= 0.5:
             raise ValueError(
@@ -486,7 +478,7 @@ class PushAdMiner:
 
         Executed by the blocked kernels under this miner's
         :class:`~repro.perf.ExecutionPlan` (``tile_size`` / ``workers`` /
-        ``precision`` / ``storage`` config knobs).
+        ``storage`` config knobs).
         """
         with self.tracer.span("pipeline.distances") as span:
             cfg = self.config
@@ -497,9 +489,7 @@ class PushAdMiner:
                     features=features,
                     text_model=text_model if text_model is not None else self.text_model,
                     plan=plan,
-                    precision=cfg.precision,
                     storage=cfg.storage,
-                    blocking=cfg.blocking,
                     blocking_bound=cfg.blocking_bound,
                 )
             stats = distances.blocking_stats
@@ -519,8 +509,6 @@ class PushAdMiner:
             span.gauge("tiles", len(plan.tiles(len(records))))
             span.gauge("tile_size", plan.tile_size)
             span.gauge("workers", plan.workers)
-            span.gauge("precision_bits", 32 if cfg.precision == "float32" else 64)
-            span.gauge("condensed", int(cfg.storage == "condensed"))
             if mem.peak_bytes is not None:
                 span.gauge("peak_bytes", mem.peak_bytes)
             return distances
@@ -542,7 +530,7 @@ class PushAdMiner:
                 span.gauge("exact_merges", linkage.exact_merges)
             else:
                 # fit() works on a float64 square copy of the distance
-                # matrix (expanded in place when the input is condensed).
+                # matrix.
                 span.gauge("work_bytes", int(distances.size ** 2 * 8))
             if mem.peak_bytes is not None:
                 span.gauge("peak_bytes", mem.peak_bytes)
@@ -574,7 +562,6 @@ class PushAdMiner:
                     linkage,
                     distances.operands,
                     plan=plan,
-                    dtype=cfg.precision,
                     candidates=[fixed] if fixed is not None else None,
                 )
                 span.gauge("matrix_bytes", distances.component_bytes)

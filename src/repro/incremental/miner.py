@@ -73,7 +73,7 @@ from repro.perf import (
     nearest_corpus_rows,
     query_distance_tile,
 )
-from repro.serve.snapshot import MinedSnapshot
+from repro.serve.snapshot import MinedSnapshot, SnapshotSchemaError
 
 
 class IncrementalDriftError(RuntimeError):
@@ -244,7 +244,10 @@ class IncrementalMiner:
         supplies the records the snapshot was exported from (e.g. from a
         deterministic re-crawl).  Alignment is verified per row — wpn id
         order and landing URL must match the snapshot exactly — and any
-        mismatch raises :class:`IncrementalDriftError`.
+        mismatch raises :class:`IncrementalDriftError`.  A recorded config
+        this build cannot rebuild (an unknown field, or a storage or
+        precision mode it no longer has) raises
+        :class:`~repro.serve.SnapshotSchemaError`.
         """
         rows = snapshot.records
         if len(records) != len(rows):
@@ -266,7 +269,15 @@ class IncrementalMiner:
                     f"the snapshot; the supplied corpus drifted from the "
                     f"mined one"
                 )
-        config = MinerConfig(**snapshot.provenance["config"])
+        try:
+            config = MinerConfig(**snapshot.provenance["config"])
+        except (TypeError, ValueError) as exc:
+            # An unknown key (TypeError) or a mode this build removed
+            # (ValueError); both messages name the field.
+            raise SnapshotSchemaError(
+                f"snapshot config is not a MinerConfig this build accepts: "
+                f"{exc}"
+            ) from exc
         labels = np.asarray(
             [int(row["cluster_id"]) for row in rows], dtype=np.int64
         )

@@ -10,8 +10,6 @@ O(n^2) stages on:
 * :mod:`repro.perf.kernels` — blocked pairwise kernels: soft-cosine text
   similarity and URL-token Jaccard computed in row tiles, with every
   floating-point operation tile-size invariant;
-* :mod:`repro.perf.condensed` — condensed (upper-triangular) storage for
-  symmetric zero-diagonal distance matrices;
 * :mod:`repro.perf.blocking` — exactness-preserving candidate blocking:
   an inverted URL-token index emitting candidate pairs in canonical
   (i, j) order with a provable no-missed-pair bound (certified screens
@@ -50,11 +48,6 @@ from repro.perf.delta import (
     nearest_corpus_rows,
     query_candidate_min_tile,
 )
-from repro.perf.condensed import (
-    condensed_size,
-    condensed_to_square,
-    square_to_condensed,
-)
 from repro.perf.kernels import (
     PairwiseOperands,
     QueryOperands,
@@ -85,8 +78,6 @@ __all__ = [
     "candidate_pairs_tile",
     "combined_distance_tile",
     "component_labels",
-    "condensed_size",
-    "condensed_to_square",
     "cut_silhouette_tile",
     "jaccard_distance_tile",
     "nearest_corpus_rows",
@@ -98,6 +89,5 @@ __all__ = [
     "row_tiles",
     "silhouette_rows",
     "soft_cosine_similarity_tile",
-    "square_to_condensed",
     "text_distance_tile",
 ]

@@ -91,8 +91,8 @@ class BlockingExactnessError(RuntimeError):
     Raised when the candidate graph does not carry enough information to
     prove that a result (a linkage merge, a cut threshold, a quantile
     candidate) would come out bitwise equal to the dense path.  The caller
-    should fall back to ``storage="dense"``/``"condensed"`` rather than
-    silently produce approximate output.
+    should fall back to ``storage="dense"`` rather than silently produce
+    approximate output.
     """
 
 
@@ -112,7 +112,7 @@ class SparsePairwise:
     n: int
     indptr: np.ndarray   # int64, (n + 1,)
     indices: np.ndarray  # int64, (nnz,) ascending within each row
-    data: np.ndarray     # float64/float32, (nnz,)
+    data: np.ndarray     # float64, (nnz,)
     bound: float = 0.5
 
     def __post_init__(self) -> None:
@@ -182,9 +182,8 @@ class SparsePairwise:
         rows = np.repeat(
             np.arange(self.n, dtype=np.int64), np.diff(self.indptr)
         )
-        values = self.data.astype(np.float64)
-        out[rows, self.indices] = values
-        out[self.indices, rows] = values
+        out[rows, self.indices] = self.data
+        out[self.indices, rows] = self.data
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -525,11 +524,9 @@ def silhouette_rows(
 @dataclass(frozen=True)
 class CutScoringOperands:
     """Inputs of the streaming cut-silhouette kernel: the pairwise
-    operands rows are recomputed from, the storage ``dtype`` they are
-    cast to (as the dense assembly casts), and the sweep's schedule."""
+    operands rows are recomputed from, and the sweep's schedule."""
 
     pairwise: PairwiseOperands
-    dtype: str
     schedule: SilhouetteSchedule
 
 
@@ -544,6 +541,6 @@ def cut_silhouette_tile(
     O(tile.size * n) memory.
     """
     text_rows, url_rows = combined_distance_tile(operands.pairwise, tile)
-    total = ((text_rows + url_rows) / 2.0).astype(np.dtype(operands.dtype))
+    total = (text_rows + url_rows) / 2.0
     del text_rows, url_rows
     return silhouette_rows(operands.schedule, total, tile)

@@ -56,7 +56,8 @@ class SnapshotError(ValueError):
 
 
 class SnapshotSchemaError(SnapshotError):
-    """The payload's schema tag is missing or not a supported version."""
+    """The payload's schema tag is missing or not a supported version, or
+    its recorded config names a field or mode this build does not have."""
 
 
 class SnapshotIntegrityError(SnapshotError):

@@ -1,4 +1,4 @@
-"""Dtype promotion cases: hidden float32 return, sanctioned precision cast."""
+"""Dtype promotion cases: hidden float32 return, knob-guarded mix."""
 
 from typing import Any, Sequence
 
@@ -22,7 +22,7 @@ def emit_compact(graph: SparseGraph, precision: str) -> np.ndarray:
     heavy = np.ones(graph.n)
     light = np.zeros(graph.n, dtype=np.float32)
     if precision == "float32":
-        # Sanctioned: the mix is exactly what the precision knob asked for.
+        # Still a mix: a knob guard sanctions nothing.
         return (heavy + light).astype(np.float32)
     return heavy
 

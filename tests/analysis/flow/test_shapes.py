@@ -2,10 +2,10 @@
 
 The ``shapepkg`` fixture corpus exercises every new detector — a dense
 allocation hidden behind a helper call, a float32/float64 promotion
-hidden through a returned array, an unstable argsort feeding a merge —
-and every sanctioned pattern (streaming ``tile x n`` kernels,
-``precision``-guarded casts, ``kind="stable"`` sorts, tuple sort keys,
-the suppressed densifier). The golden tests pin one finding per pass
+hidden through a returned array, a mix inside a ``precision``-guarded
+branch, an unstable argsort feeding a merge — and every sanctioned
+pattern (streaming ``tile x n`` kernels, ``kind="stable"`` sorts, tuple
+sort keys, the suppressed densifier). The golden tests pin one finding per pass
 byte-for-byte through the ``repro-lint/2`` JSON reporter and
 ``--explain``; the src/repro tests prove each inline sanction in the
 real tree is load-bearing.
@@ -40,7 +40,7 @@ class TestCorpusCoverage:
     def test_every_detector_fires_on_the_corpus(self):
         result = flow_over("shapepkg")
         assert len(_by_rule(result, "flow-dense-alloc")) == 1
-        assert len(_by_rule(result, "flow-dtype-promotion")) == 3
+        assert len(_by_rule(result, "flow-dtype-promotion")) == 4
         assert len(_by_rule(result, "flow-unstable-order")) == 3
 
     def test_dense_alloc_hidden_behind_a_helper_has_full_chain(self):
@@ -53,12 +53,22 @@ class TestCorpusCoverage:
 
     def test_promotion_hidden_through_a_returned_array(self):
         promotions = _by_rule(flow_over("shapepkg"), "flow-dtype-promotion")
-        mix = [f for f in promotions if "float32/float64 mix" in f.message]
+        mix = [
+            f for f in promotions
+            if "returned by 'shapepkg.promote._embed'" in f.message
+        ]
         assert len(mix) == 1
-        assert "returned by 'shapepkg.promote._embed'" in mix[0].message
         assert mix[0].chain[-1].startswith("binop base + _embed(graph)")
         kinds = {f.chain[-1].split()[0] for f in promotions}
         assert kinds == {"binop", "div", "accum"}
+
+    def test_precision_guarded_mix_is_reported(self):
+        # No precision knob is left to sanction a cast: a mix inside a
+        # ``precision``-keyed branch fires like any other.
+        promotions = _by_rule(flow_over("shapepkg"), "flow-dtype-promotion")
+        (compact,) = [f for f in promotions if "emit_compact" in f.message]
+        assert "implicit float32/float64 mix" in compact.message
+        assert compact.chain[-1].startswith("binop heavy + light")
 
     def test_unstable_sorts_cover_all_three_shapes(self):
         sorts = _by_rule(flow_over("shapepkg"), "flow-unstable-order")
@@ -73,15 +83,14 @@ class TestCorpusCoverage:
 
     def test_sanctioned_patterns_stay_clean(self):
         result = flow_over("shapepkg")
-        # tile x n streaming, kind="stable", tuple keys, precision-guarded
-        # casts: none may appear in any finding or chain.
+        # tile x n streaming, kind="stable", tuple keys: none may appear
+        # in any finding or chain.
         rendered = "\n".join(
             f.message + "\n" + "\n".join(f.chain) for f in result.findings
         )
         assert "tile_kernel" not in rendered
         assert "emit_stable" not in rendered
         assert "emit_paired" not in rendered
-        assert "emit_compact" not in rendered
 
     def test_suppressed_densifier_counts_as_suppressed(self):
         result = flow_over("shapepkg")
@@ -215,7 +224,7 @@ GOLDEN_JSON = {
         '"message": "O(n^2) allocation numpy.zeros((n:big, n:big)) in the '
         'sparse/parallel kernel region \\u2014 ExecutionPlan-shipped kernel, '
         "reachable from 'shapepkg.kernels.bad_kernel' in 1 call hop(s); "
-        'stream O(tile*n) rows or keep condensed/sparse storage (--explain '
+        'stream O(tile*n) rows or keep sparse storage (--explain '
         'prints the chain)", "path": "shapepkg/kernels.py", '
         '"rule": "flow-dense-alloc", "severity": "error"}'
     ),
@@ -249,7 +258,7 @@ GOLDEN_EXPLAIN = (
     "  O(n^2) allocation numpy.zeros((n:big, n:big)) in the sparse/parallel "
     "kernel region — ExecutionPlan-shipped kernel, reachable from "
     "'shapepkg.kernels.bad_kernel' in 1 call hop(s); stream O(tile*n) rows "
-    "or keep condensed/sparse storage (--explain prints the chain)\n"
+    "or keep sparse storage (--explain prints the chain)\n"
     "  fingerprint: 0e3cf0d2a4106023\n"
     "  chain:\n"
     "    0. shapepkg.kernels.bad_kernel (shapepkg/kernels.py:16)\n"

@@ -6,7 +6,6 @@ import pytest
 from repro.core.clustering import (
     AgglomerativeClusterer,
     CutSelection,
-    IncrementalCutSweep,
     evaluate_cuts,
     silhouette_schedule,
 )
@@ -33,31 +32,6 @@ def evaluate_cuts_oracle(linkage, distances, candidates):
             found = True
     assert found
     return best
-
-
-class TestIncrementalCutSweep:
-    def test_labels_match_cut_exactly(self):
-        rng = np.random.default_rng(21)
-        for trial in range(5):
-            linkage, _ = random_linkage(rng, int(rng.integers(5, 40)))
-            heights = linkage.heights()
-            thresholds = sorted(
-                float(t)
-                for t in rng.choice(heights, size=min(6, heights.size))
-            ) + [float(heights.max()) + 0.1]
-            sweep = IncrementalCutSweep(linkage)
-            for t in thresholds:
-                np.testing.assert_array_equal(
-                    sweep.labels_at(t), linkage.cut(t)
-                )
-
-    def test_rejects_decreasing_thresholds(self):
-        rng = np.random.default_rng(1)
-        linkage, _ = random_linkage(rng, 10)
-        sweep = IncrementalCutSweep(linkage)
-        sweep.labels_at(0.5)
-        with pytest.raises(ValueError):
-            sweep.labels_at(0.4)
 
 
 def sweep_scores(linkage, dist, thresholds):

@@ -1,10 +1,9 @@
-"""Blocked / parallel / condensed / float32 distance paths on a real corpus.
+"""Blocked / parallel distance paths on a real corpus.
 
 The acceptance property of the perf subsystem: every execution
 configuration yields the same science. Worker count and tile size must
 never change a single bit of the distance matrices or the downstream cut
-selection; reduced precision/storage modes must stay within float32
-tolerance while shrinking the footprint.
+selection, and only the two exact storages (dense, sparse) exist.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from repro.core.clustering import AgglomerativeClusterer, evaluate_cuts
 from repro.core.distance import compute_distances
 from repro.core.pipeline import MinerConfig
-from repro.perf import ExecutionPlan, condensed_size, square_to_condensed
+from repro.perf import ExecutionPlan
 
 
 @pytest.fixture(scope="module")
@@ -62,48 +61,15 @@ class TestBlockedAndParallelIdentity:
 
 
 class TestReducedModes:
-    def test_condensed_equals_dense_upper_triangle(self, corpus, reference):
-        got = compute_distances(corpus, storage="condensed")
-        assert got.storage == "condensed"
-        assert got.text is None and got.url is None
-        expected = square_to_condensed(reference.total)
-        assert got.total.tobytes() == expected.tobytes()
-        square = got.total_square()
-        assert square.tobytes() == reference.total.tobytes()
-
-    def test_float32_close_and_half_the_bytes(self, corpus, reference):
-        got = compute_distances(corpus, precision="float32")
-        assert got.total.dtype == np.float32
-        np.testing.assert_allclose(got.total, reference.total, atol=1e-6)
-        assert got.component_bytes * 2 == reference.component_bytes
-
-    def test_condensed_float32_footprint(self, corpus, reference):
-        got = compute_distances(
-            corpus, precision="float32", storage="condensed"
-        )
-        n = got.size
-        assert got.component_bytes == condensed_size(n) * 4
-        # >= 2x below even ONE dense float64 square, let alone all three.
-        assert got.component_bytes * 2 < n * n * 8
-        np.testing.assert_allclose(
-            got.total_square(dtype=np.float64),
-            reference.total,
-            atol=1e-6,
-        )
-
-    def test_condensed_linkage_matches_dense(self, corpus, reference):
-        got = compute_distances(corpus, storage="condensed")
-        dense_linkage = AgglomerativeClusterer().fit(reference.total)
-        condensed_linkage = AgglomerativeClusterer().fit(got.total)
-        assert np.array_equal(
-            dense_linkage.to_scipy(), condensed_linkage.to_scipy()
-        )
+    """The non-exact footprint modes are gone: asking for one raises."""
 
     def test_invalid_modes_raise(self, corpus):
-        with pytest.raises(ValueError):
-            compute_distances(corpus, precision="float16")
-        with pytest.raises(ValueError):
-            compute_distances(corpus, storage="sparse")
+        with pytest.raises(ValueError, match="storage"):
+            compute_distances(corpus, storage="condensed")
+        with pytest.raises(TypeError):
+            compute_distances(corpus, precision="float32")
+        with pytest.raises(TypeError):
+            compute_distances(corpus, storage="sparse", blocking="url")
 
 
 class TestMinerConfigKnobs:
@@ -121,6 +87,10 @@ class TestMinerConfigKnobs:
             MinerConfig(tile_size=0)
         with pytest.raises(ValueError):
             MinerConfig(precision="float16")
+        with pytest.raises(ValueError, match="precision"):
+            MinerConfig(precision="float32")
+        with pytest.raises(ValueError, match="storage"):
+            MinerConfig(storage="condensed")
         with pytest.raises(ValueError):
             MinerConfig(storage="sparse")  # requires blocking="url"
         with pytest.raises(ValueError):

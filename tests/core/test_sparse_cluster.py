@@ -35,7 +35,7 @@ def dense(corpus):
 
 @pytest.fixture(scope="module")
 def sparse(corpus):
-    return compute_distances(corpus, storage="sparse", blocking="url")
+    return compute_distances(corpus, storage="sparse")
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +163,28 @@ class TestEvaluateCutsSparse:
         assert got.threshold == want.threshold
         assert got.score == want.score
         np.testing.assert_array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_unmerged_linkage_reports_the_given_candidates(
+        self, corpus, storage
+    ):
+        # One record: no merge to score, but the given candidates are
+        # still what the caller asked for, on both paths.
+        one = compute_distances(corpus[:1], storage=storage)
+        linkage = AgglomerativeClusterer().fit(one.total)
+        assert linkage.merges == []
+        if storage == "dense":
+            selection = evaluate_cuts(
+                linkage, one.total, candidates=[0.1, 0.05]
+            )
+        else:
+            selection = evaluate_cuts_sparse(
+                linkage, one.operands, candidates=[0.1, 0.05]
+            )
+        assert selection.threshold == 0.1
+        assert selection.n_candidates == 2
+        assert selection.score == 0.0
+        np.testing.assert_array_equal(selection.labels, [0])
 
     def test_uncertified_fixed_threshold_raises(
         self, sparse, sparse_linkage

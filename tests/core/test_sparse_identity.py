@@ -37,7 +37,7 @@ def dense(records):
 
 @pytest.fixture(scope="module")
 def sparse(records):
-    return compute_distances(records, storage="sparse", blocking="url")
+    return compute_distances(records, storage="sparse")
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,6 @@ class TestGraphIdentityAcrossPlans:
             records,
             plan=ExecutionPlan(workers=workers, tile_size=tile_size),
             storage="sparse",
-            blocking="url",
         )
         assert got.total.indptr.tobytes() == sparse.total.indptr.tobytes()
         assert got.total.indices.tobytes() == sparse.total.indices.tobytes()

@@ -10,6 +10,7 @@ message) that the right check fired.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from repro.incremental import (
     IncrementalMiner,
     IncrementalResult,
 )
-from repro.serve import MinedSnapshot
+from repro.serve import MinedSnapshot, SnapshotSchemaError
+from repro.serve.snapshot import content_hash
 
 
 def _construct(base_result, **overrides):
@@ -141,3 +143,26 @@ def test_from_snapshot_refuses_drifted_landing_url(base_result):
     )
     with pytest.raises(IncrementalDriftError, match="landing URL"):
         IncrementalMiner.from_snapshot(snapshot, records)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"storage": "condensed"}, "storage"),
+        ({"precision": "float32"}, "precision"),
+        ({"tile_budget": 64}, "tile_budget"),
+    ],
+    ids=["removed-storage", "removed-precision", "unknown-key"],
+)
+def test_from_snapshot_refuses_a_config_this_build_lacks(
+    base_result, edit, field
+):
+    # A hash-valid snapshot whose recorded config names a removed mode or
+    # an unknown field is refused as a schema mismatch, not a bare
+    # ValueError/TypeError from MinerConfig.
+    payload = json.loads(MinedSnapshot.from_result(base_result).to_json())
+    payload["provenance"]["config"].update(edit)
+    payload["content_hash"] = content_hash(payload)
+    snapshot = MinedSnapshot.from_json(json.dumps(payload))
+    with pytest.raises(SnapshotSchemaError, match=field):
+        IncrementalMiner.from_snapshot(snapshot, base_result.records)

@@ -42,7 +42,7 @@ def dense(corpus):
 
 @pytest.fixture(scope="module")
 def sparse(corpus):
-    return compute_distances(corpus, storage="sparse", blocking="url")
+    return compute_distances(corpus, storage="sparse")
 
 
 def stored_pair_set(matrix):
@@ -128,7 +128,7 @@ class TestRecallOracle:
         # provable superset of every pair with total < 0.5 (the recall
         # bound the screens then tighten to the configured bound).
         sparse_half = compute_distances(
-            corpus, storage="sparse", blocking="url", blocking_bound=0.5
+            corpus, storage="sparse", blocking_bound=0.5
         )
         plan = ExecutionPlan()
         operands = sparse_half.operands
@@ -147,7 +147,7 @@ class TestRecallOracle:
         dataset = run_full_crawl(config=paper_scenario(seed=seed, scale=0.02))
         records = dataset.valid_records
         dense = compute_distances(records)
-        sparse = compute_distances(records, storage="sparse", blocking="url")
+        sparse = compute_distances(records, storage="sparse")
         bound = sparse.total.bound
         i, j = np.triu_indices(len(records), k=1)
         close = dense.total[i, j] < bound
@@ -165,7 +165,7 @@ class TestRecallOracle:
             candidate_distance_tile(sparse.operands, tile, bound=0.6)
         with pytest.raises(ValueError):
             compute_distances(
-                corpus, storage="sparse", blocking="url", blocking_bound=0.0
+                corpus, storage="sparse", blocking_bound=0.0
             )
 
 
@@ -178,7 +178,7 @@ class TestShardingIdentity:
             ExecutionPlan(workers=2, tile_size=48),
         ):
             got = compute_distances(
-                corpus, plan=plan, storage="sparse", blocking="url"
+                corpus, plan=plan, storage="sparse"
             )
             assert got.total.indptr.tobytes() == reference.indptr.tobytes()
             assert got.total.indices.tobytes() == reference.indices.tobytes()
@@ -196,7 +196,6 @@ class TestShardingIdentity:
                 corpus,
                 plan=ExecutionPlan(workers=2, tile_size=48),
                 storage="sparse",
-                blocking="url",
             )
         assert san.report.streams_permuted > 0
         assert not san.report.divergences
@@ -254,7 +253,7 @@ class TestCutSilhouetteTile:
         schedule = silhouette_schedule(linkage, thresholds)
         assert schedule.thresholds == thresholds
         operands = CutScoringOperands(
-            pairwise=sparse.operands, dtype="float64", schedule=schedule
+            pairwise=sparse.operands, schedule=schedule
         )
         # The one-block dense sweep: the whole square as a single tile.
         whole = silhouette_rows(schedule, dense.total, Tile(0, sparse.size))

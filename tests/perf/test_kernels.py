@@ -1,15 +1,12 @@
-"""Blocked kernels vs. brute-force references, and condensed storage."""
+"""Blocked kernels vs. brute-force references."""
 
 import numpy as np
 import pytest
 
 from repro.perf import (
     Tile,
-    condensed_size,
-    condensed_to_square,
     jaccard_distance_tile,
     soft_cosine_similarity_tile,
-    square_to_condensed,
 )
 from repro.util.textproc import jaccard_distance
 from repro.core.urlsim import url_membership_operands
@@ -97,28 +94,3 @@ class TestKernelCorrectness:
                 Tile(start, stop),
             )
             assert rows.tobytes() == full[start:stop].tobytes()
-
-
-class TestCondensed:
-    def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(2)
-        n = 13
-        square = rng.random((n, n))
-        square = (square + square.T) / 2
-        np.fill_diagonal(square, 0.0)
-        condensed = square_to_condensed(square)
-        assert condensed.shape == (condensed_size(n),)
-        back = condensed_to_square(condensed, n)
-        assert back.tobytes() == square.tobytes()
-
-    def test_sizes(self):
-        assert condensed_size(0) == 0
-        assert condensed_size(1) == 0
-        assert condensed_size(2) == 1
-        assert condensed_size(100) == 4950
-
-    def test_expansion_dtype(self):
-        condensed = np.array([0.5, 0.25, 0.125], dtype=np.float32)
-        square = condensed_to_square(condensed, 3, dtype=np.float64)
-        assert square.dtype == np.float64
-        assert square[0, 1] == 0.5 and square[2, 1] == 0.125

@@ -103,7 +103,7 @@ class TestSilhouetteSweepProperties:
             schedule, total, Tile(0, n)
         ).tobytes() == whole.tobytes()
         cut_operands = CutScoringOperands(
-            pairwise=operands, dtype="float64", schedule=schedule
+            pairwise=operands, schedule=schedule
         )
         for workers in (1, 2):
             for tile_size in (1, 2, 7, n):

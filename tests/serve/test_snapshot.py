@@ -1,5 +1,6 @@
 """MinedSnapshot: export determinism, round-trips, integrity refusals."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,22 @@ from repro.serve import (
     SnapshotSchemaError,
     canonical_json,
 )
-from repro.serve.snapshot import content_hash, decode_array, encode_array
+from repro.core.pipeline import MinerConfig
+from repro.serve.snapshot import (
+    _section_hash,
+    content_hash,
+    decode_array,
+    encode_array,
+)
+
+#: Editing MinerConfig's fields (names, order or defaults) changes every
+#: snapshot's ``config_fingerprint`` and content hash, so the snapshot
+#: hash the end-to-end benchmark pins (perfbench/pins.json) moves too.
+REPIN = (
+    "MinerConfig is the snapshot's provenance schema: this change moves "
+    "perfbench/pins.json's snapshot_hash and has to land with a "
+    "benchmark re-pin"
+)
 
 
 class TestExport:
@@ -47,6 +63,22 @@ class TestExport:
         bare = dataclasses.replace(small_result, text_model=None)
         with pytest.raises(SnapshotError, match="fitted text model"):
             MinedSnapshot.from_result(bare)
+
+
+class TestConfigSchema:
+    def test_field_names_are_pinned(self):
+        names = tuple(field.name for field in dataclasses.fields(MinerConfig))
+        assert names == (
+            "seed", "vt_early_rate", "vt_late_rate", "gsb_rate",
+            "vt_fp_rate", "unconfirmable_rate", "cut_threshold",
+            "months_elapsed", "tile_size", "workers", "crawl_workers",
+            "precision", "storage", "blocking", "blocking_bound",
+        ), REPIN
+
+    def test_sparse_config_fingerprint_is_pinned(self):
+        config = MinerConfig(storage="sparse", blocking="url")
+        fingerprint = _section_hash(dataclasses.asdict(config))
+        assert fingerprint == "b0e00bfdc0b3ddc66bc78cb3889b14d5", REPIN
 
 
 class TestRoundTrip:
