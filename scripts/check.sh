@@ -127,21 +127,24 @@ print(
     f"permuted stream(s), {san.report.tiles_verified} tile(s) verified"
 )
 
-miner = PushAdMiner.for_dataset(plain)
+# Both exact storages stream their silhouette tiles through
+# ExecutionPlan; small tiles give the permutation several tiles to
+# shuffle at this scale (the default 512 rows is one tile here).
+miner = PushAdMiner.for_dataset(plain, tile_size=64)
 baseline = _checksum(miner.run(plain.valid_records))
 with DetSan(seed=seed + 1, verify_tiles=True) as san:
     shaken = _checksum(miner.run(plain.valid_records))
+assert san.report.streams_permuted > 0, "sanitizer never engaged the dense mine"
 assert not san.report.divergences, san.report.divergences
 assert baseline == shaken, "miner output changed under DetSan"
 print(
-    f"DetSan miner: stage sweep identical "
+    f"DetSan miner: stage sweep identical under "
+    f"{san.report.streams_permuted} permuted stream(s) "
     f"({san.report.fs_shuffled} enumeration(s) shuffled, "
     f"{san.report.tiles_checksummed} tile(s) checksummed)"
 )
 
-# The other exact storage: the sparse mine streams the blocking kernel
-# and the cut's silhouette tiles through ExecutionPlan. Small tiles give
-# the permutation several tiles to shuffle at this scale.
+# The sparse mine also streams the blocking kernel through ExecutionPlan.
 sparse = PushAdMiner.for_dataset(
     plain, storage="sparse", blocking="url", tile_size=64
 )

@@ -122,7 +122,10 @@ class AndroidDevice:
         return outcomes
 
     def sync_logcat(self) -> None:
-        """Mirror all browser events collected so far to the log channel."""
-        self.logcat.lines.clear()
-        for event in self.browser.events:
+        """Mirror the browser events not yet on the log channel.
+
+        The channel holds one line per mirrored event, so its length is
+        where the unmirrored tail of the event log starts.
+        """
+        for event in self.browser.events.since(len(self.logcat.lines)):
             self.logcat.write_event(event)

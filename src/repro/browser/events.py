@@ -77,6 +77,10 @@ class EventLog:
     def __iter__(self) -> Iterator[BrowserEvent]:
         return iter(self._events)
 
+    def since(self, index: int) -> List[BrowserEvent]:
+        """The events from position ``index`` on, in emission order."""
+        return self._events[index:]
+
     def of_kind(self, kind: str) -> List[BrowserEvent]:
         """All events of one kind, in emission order."""
         return [e for e in self._events if e.kind == kind]

@@ -125,41 +125,16 @@ class Linkage:
         Lets users hand the dendrogram to ``scipy.cluster.hierarchy``
         (``dendrogram``, ``fcluster``, ...). Merges are re-labeled into
         scipy's convention: row *i* creates cluster id ``n + i`` and may
-        only reference ids created by earlier rows. A single topological
-        pass keyed on resolved ids guarantees that even under height ties
-        — a ready-merge min-heap on the height-sorted position emits the
-        earliest resolvable merge first, exactly like the old quadratic
-        pending-list scan, in O(n log n).
+        only reference ids created by earlier rows, which
+        :func:`_dependency_order` guarantees even under height ties.
         """
         n = self.n_leaves
         out = np.zeros((max(n - 1, 0), 4))
         relabel = {leaf: leaf for leaf in range(n)}
-        # merge index -> count of still-unresolved child ids; unresolved
-        # id -> merge indices waiting on it.
-        blocked: Dict[int, int] = {}
-        waiting: Dict[int, List[int]] = {}
-        ready: List[int] = []
-        for index, merge in enumerate(self.merges):  # already height-sorted
-            missing = [i for i in (merge.id_a, merge.id_b) if i not in relabel]
-            if missing:
-                blocked[index] = len(missing)
-                for unresolved in missing:
-                    waiting.setdefault(unresolved, []).append(index)
-            else:
-                heapq.heappush(ready, index)
-        row = 0
-        while ready:
-            merge = self.merges[heapq.heappop(ready)]
+        for row, merge in enumerate(_dependency_order(self)):
             a, b = relabel[merge.id_a], relabel[merge.id_b]
             out[row] = (min(a, b), max(a, b), merge.height, merge.size)
             relabel[merge.new_id] = n + row
-            row += 1
-            for index in waiting.pop(merge.new_id, ()):
-                blocked[index] -= 1
-                if blocked[index] == 0:
-                    heapq.heappush(ready, index)
-        if row != len(self.merges):
-            raise RuntimeError("inconsistent dendrogram")
         return out
 
 
@@ -682,10 +657,11 @@ def _dependency_order(linkage: Linkage) -> List[Merge]:
     height TIES may place a parent merge before the merge that created
     one of its children. Sweeps that materialize per-cluster state (the
     silhouette sweep's mean columns) need the creating merge applied
-    first. Reordering only within equal-height runs is threshold-safe:
-    tied merges always fall on the same side of any cut. The Kahn pass
-    with a min-heap on height-sorted position keeps the order
-    deterministic and, outside ties, unchanged.
+    first, and so do :meth:`Linkage.to_scipy`'s rows. Reordering only
+    within equal-height runs is threshold-safe: tied merges always fall
+    on the same side of any cut. The Kahn pass with a min-heap on
+    height-sorted position keeps the order deterministic and, outside
+    ties, unchanged.
     """
     ordered: List[Merge] = []
     emitted = set(range(linkage.n_leaves))

@@ -15,6 +15,9 @@ Determinism contract, in order of the machinery that enforces it:
    FCM namespace, and WPN ids from ``(seed, platform, url)`` — never from
    shared counters or a scheduler-wide ``random.Random`` — so a session's
    output is a function of what it visits, not of when or where it runs.
+   A visit without a permission prompt is fully determined by its site:
+   it builds no browser and draws nothing, not even a start time, so a
+   crawl costs what its prompting sites yield.
 2. **Shards are static.** :func:`repro.perf.plan.row_tiles` splits each
    wave by ``(n_jobs, shard_size)`` only; worker count never changes the
    split, and the plan reduces shard results in tile-index order.
@@ -234,7 +237,9 @@ class CrawlEngine:
         Visits are staggered over the first half of the study so queued
         messages still have time to arrive before the final drain; each
         start time comes from a stream keyed by ``(platform, url)``, so it
-        is independent of every other session's draws.
+        is independent of every other session's draws. A site without a
+        prompt yields nothing at any start time, so it gets ``0.0`` and no
+        stream is seeded for it.
         """
         config = self.ecosystem.config
         horizon = config.study_minutes * 0.5
@@ -242,12 +247,15 @@ class CrawlEngine:
         jobs: List[SessionJob] = []
         for wave in waves:
             for site in wave.sites:
-                stream = starts.stream(f"{wave.platform}|{site.url}")
+                start_min = 0.0
+                if site.requests_permission:
+                    stream = starts.stream(f"{wave.platform}|{site.url}")
+                    start_min = stream.uniform(0.0, horizon)
                 jobs.append(
                     SessionJob(
                         site=site,
                         platform=wave.platform,
-                        start_min=stream.uniform(0.0, horizon),
+                        start_min=start_min,
                         emulated=wave.emulated,
                     )
                 )

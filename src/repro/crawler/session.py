@@ -6,6 +6,11 @@ alive 15 minutes for the first notification(s), then suspend and resume
 periodically so FCM-queued messages drain over the two-month study. Every
 displayed notification is automatically clicked after a short delay and the
 resulting redirect chain + landing page recorded.
+
+A visit without a permission prompt is fully determined by its site: the
+page renders, nothing is drawn, subscribed or sent, and the session yields
+no record. Such a session builds no browser, broker, keyed stream or device;
+only prompting sites pay for a container.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import List, Optional, Tuple
 
 from repro.browser.android import AndroidDevice
 from repro.browser.browser import ClickOutcome, InstrumentedBrowser
-from repro.browser.events import EventLog
 from repro.browser.network import NetworkRequest
 from repro.browser.notifications import WebNotification
 from repro.core.records import WpnRecord, WpnTruth
@@ -78,12 +82,16 @@ class SessionResult:
     records: List[WpnRecord] = field(default_factory=list)
     landing_leads: List[LandingLead] = field(default_factory=list)
     sw_requests: List[NetworkRequest] = field(default_factory=list)
-    events: Optional[EventLog] = None
     first_latency_min: Optional[float] = None
 
 
 class ContainerSession:
-    """Visit one URL in an isolated browser; collect its WPNs."""
+    """Visit one URL in an isolated browser; collect its WPNs.
+
+    Only a prompting site gets a container: broker, keyed stream, browser
+    and, on mobile, the Android device. For any other site ``browser`` and
+    ``device`` stay ``None`` and :meth:`run` returns the bare result.
+    """
 
     def __init__(
         self,
@@ -101,27 +109,28 @@ class ContainerSession:
         self.site = site
         self.platform = platform
         self.session_key = session_key(platform, str(site.url))
-        # Defaults make the session a self-contained pure kernel: its own
-        # namespaced broker and its own keyed stream, derived from what it
-        # visits rather than received from a shared scheduler.
-        self.fcm = (
-            fcm if fcm is not None else FcmService(namespace=self.session_key)
-        )
-        self.rng = (
-            rng
-            if rng is not None
-            else session_rng(ecosystem.config.seed, platform, str(site.url))
-        )
         self.start_min = start_min
         self.emulated = emulated
         self._wpn_index = 0
+        self._sent_alerts: List[MessageCreative] = []
+        self.fcm: Optional[FcmService] = fcm
+        self.rng: Optional[random.Random] = rng
+        self.browser: Optional[InstrumentedBrowser] = None
+        self.device: Optional[AndroidDevice] = None
+        if not site.requests_permission:
+            return
+        # Defaults make the session a self-contained pure kernel: its own
+        # namespaced broker and its own keyed stream, derived from what it
+        # visits rather than received from a shared scheduler.
+        if self.fcm is None:
+            self.fcm = FcmService(namespace=self.session_key)
+        if self.rng is None:
+            self.rng = session_rng(ecosystem.config.seed, platform, str(site.url))
         self.browser = InstrumentedBrowser(
             ecosystem, self.fcm, rng=self.rng, platform=platform
         )
-        self.device = (
-            AndroidDevice(browser=self.browser) if platform == "mobile" else None
-        )
-        self._sent_alerts: List[MessageCreative] = []
+        if platform == "mobile":
+            self.device = AndroidDevice(browser=self.browser)
 
     # ------------------------------------------------------------------
     # Online-window schedule (suspend / resume policy)
@@ -146,6 +155,13 @@ class ContainerSession:
     # ------------------------------------------------------------------
     # Push stream planning (what the ad server / site sends us)
     # ------------------------------------------------------------------
+    @property
+    def _stream(self) -> random.Random:
+        """The session's keyed stream; only a prompting session has one."""
+        if self.rng is None:
+            raise RuntimeError(f"{self.site.url} never prompts; nothing to draw")
+        return self.rng
+
     def _plan_message_count(self, subscription: PushSubscription) -> int:
         cfg = self.config
         if subscription.is_ad_subscription:
@@ -157,26 +173,26 @@ class ContainerSession:
         # Geometric with the configured mean, at least one message.
         p = 1.0 / max(mean, 1.0)
         count = 1
-        while self.rng.random() > p and count < 200:
+        while self._stream.random() > p and count < 200:
             count += 1
         return count
 
     def _plan_send_times(self, subscribe_min: float, count: int) -> List[float]:
         cfg = self.config
-        first = subscribe_min + self.rng.lognormvariate(
+        first = subscribe_min + self._stream.lognormvariate(
             math.log(cfg.first_latency_median_min), cfg.first_latency_sigma
         )
         study_end = self.start_min + cfg.study_minutes
         first = min(first, study_end)
         times = [first]
         for _ in range(count - 1):
-            times.append(self.rng.uniform(first, study_end))
+            times.append(self._stream.uniform(first, study_end))
         return sorted(times)
 
     def _make_creative(
         self, subscription: PushSubscription, sent_at_min: float
     ) -> Optional[MessageCreative]:
-        rng = self.rng
+        rng = self._stream
         if not subscription.is_ad_subscription:
             return self._alert_creative(
                 subscription.alert_family, subscription.origin.split("//", 1)[1]
@@ -195,7 +211,7 @@ class ContainerSession:
         """A site's own alert; sites often resend an identical alert
         (re-engagement reminders), which is what yields the paper's
         single-source non-singleton clusters like WPN-C3."""
-        rng = self.rng
+        rng = self._stream
         if self._sent_alerts and rng.random() < self.config.alert_repeat_rate:
             return rng.choice(self._sent_alerts)
         creative = self.ecosystem.sample_alert_message(family_name, domain, rng)
@@ -206,13 +222,21 @@ class ContainerSession:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:
-        visit = self.browser.visit(self.site, self.start_min)
+        browser, fcm = self.browser, self.fcm
+        if browser is None or fcm is None:
+            # No prompt: the page renders and nothing else can happen.
+            return SessionResult(
+                site=self.site,
+                platform=self.platform,
+                requested_permission=False,
+                subscriptions=0,
+            )
+        visit = browser.visit(self.site, self.start_min)
         result = SessionResult(
             site=self.site,
             platform=self.platform,
-            requested_permission=self.site.requests_permission,
+            requested_permission=True,
             subscriptions=len(visit.subscriptions),
-            events=self.browser.events,
         )
         if not visit.subscriptions or not self.site.active_notifier:
             return result
@@ -223,13 +247,13 @@ class ContainerSession:
             for sent_at in self._plan_send_times(subscription.created_at_min, count):
                 creative = self._make_creative(subscription, sent_at)
                 if creative is not None:
-                    self.fcm.send(subscription.endpoint, creative, sent_at)
+                    fcm.send(subscription.endpoint, creative, sent_at)
 
         # Drain the FCM queue, mapping each send time onto the earliest
         # online window (live window, periodic resume, or final drain).
         deliveries: List[PushDelivery] = []
         for subscription in visit.subscriptions:
-            for queued in self.fcm.deliver(subscription.endpoint, float("inf")):
+            for queued in fcm.deliver(subscription.endpoint, float("inf")):
                 deliveries.append(
                     PushDelivery(
                         subscription=queued.subscription,
@@ -241,7 +265,7 @@ class ContainerSession:
         deliveries.sort(key=lambda d: d.delivered_at_min)
 
         for delivery in deliveries:
-            record, lead = self._process_delivery(delivery)
+            record, lead = self._process_delivery(delivery, browser)
             result.records.append(record)
             if lead is not None:
                 result.landing_leads.append(lead)
@@ -255,12 +279,12 @@ class ContainerSession:
                 result.first_latency_min = send_latency
 
         result.sw_requests = [
-            r for r in self.browser.network.requests if r.initiator == "service_worker"
+            r for r in browser.network.requests if r.initiator == "service_worker"
         ]
         return result
 
     def _process_delivery(
-        self, delivery: PushDelivery
+        self, delivery: PushDelivery, browser: InstrumentedBrowser
     ) -> Tuple[WpnRecord, Optional[LandingLead]]:
         now = delivery.delivered_at_min
         if self.device is not None:
@@ -268,8 +292,8 @@ class ContainerSession:
             outcomes = self.device.auto_interact(now, self.config.click_delay_min)
             outcome = outcomes[-1]
         else:
-            notification = self.browser.receive_push(delivery, now)
-            outcome = self.browser.click_notification(
+            notification = browser.receive_push(delivery, now)
+            outcome = browser.click_notification(
                 notification, now + self.config.click_delay_min
             )
         record = self._record_from(delivery, notification, outcome)

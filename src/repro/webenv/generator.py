@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import Tracer
@@ -86,6 +87,10 @@ class WebEcosystem:
     _campaign_index: Dict[str, AdCampaign] = field(default_factory=dict)
     _landing_prompt_cache: Dict[str, bool] = field(default_factory=dict)
     _landing_rng: random.Random = field(default_factory=random.Random)
+    #: ``sample_ad_message``'s pools, per ``(network, platform, penalty)``.
+    _ad_pools: Dict[
+        Tuple[str, str, float], Tuple[List[AdCampaign], List[float]]
+    ] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.campaigns_by_network:
@@ -135,22 +140,38 @@ class WebEcosystem:
         mobile (section 6.1.3): malicious campaigns largely withhold their
         payloads from emulated devices, so the paper crawled a real Nexus 5.
         """
+        # Keyed on the penalty, not on ``emulated``: a caller that swaps
+        # ``config`` must never be served another config's weights.
+        penalty = self.config.emulator_malicious_penalty if emulated else 1.0
+        key = (network_name, platform, penalty)
+        if key not in self._ad_pools:
+            self._ad_pools[key] = self._ad_pool(network_name, platform, penalty)
+        pool, cum_weights = self._ad_pools[key]
+        if not pool:
+            return None
+        campaign = rng.choices(pool, cum_weights=cum_weights, k=1)[0]
+        return campaign.make_message(rng, at_min=at_min)
+
+    def _ad_pool(
+        self, network_name: str, platform: str, penalty: float
+    ) -> Tuple[List[AdCampaign], List[float]]:
+        """``network_name``'s campaigns on ``platform``, cumulative weights.
+
+        Accumulated left to right, as ``random.choices`` accumulates plain
+        weights, so every draw is the same.
+        """
         pool = [
             c
             for c in self.campaigns_by_network.get(network_name, [])
             if platform in c.platforms
         ]
-        if not pool:
-            return None
         spec = self.networks.get(network_name)
         abuse = spec.abuse_level if spec else 0.5
-        penalty = self.config.emulator_malicious_penalty if emulated else 1.0
         weights = [
             c.weight * ((abuse * penalty) if c.malicious else (1.0 - abuse)) + 1e-6
             for c in pool
         ]
-        campaign = rng.choices(pool, weights=weights, k=1)[0]
-        return campaign.make_message(rng, at_min=at_min)
+        return pool, list(accumulate(weights))
 
     def sample_alert_message(
         self, family_name: str, source_domain: str, rng: random.Random

@@ -4,6 +4,7 @@ import pytest
 
 from repro.browser.android import (
     AccessibilityService,
+    AdbLogcat,
     AndroidDevice,
     AndroidNotificationTray,
 )
@@ -81,6 +82,31 @@ class TestAndroidDevice:
         device.auto_interact(2.0, 0.05)
         assert len(device.logcat.lines) == len(device.browser.events)
         assert any("notification_shown" in line for line in device.logcat.lines)
+
+    def test_logcat_after_many_interactions_is_a_full_render(
+        self, small_ecosystem
+    ):
+        device = AndroidDevice(browser=mobile_browser(small_ecosystem))
+        visit = device.browser.visit(mobile_publisher(small_ecosystem), 0.0)
+        sub = visit.subscriptions[0]
+        rng = RngFactory(5).stream("pushes")
+        for step in range(5):
+            creative = None
+            while creative is None:
+                creative = small_ecosystem.sample_ad_message(
+                    sub.network_name, "mobile", rng
+                )
+            now = 1.0 + step
+            device.browser.fcm.send(sub.endpoint, creative, now)
+            delivery = device.browser.fcm.deliver(sub.endpoint, now)[0]
+            device.receive_push(delivery, now)
+            device.auto_interact(now, 0.05)
+        device.sync_logcat()  # idempotent once caught up
+        full = AdbLogcat()
+        for event in device.browser.events:
+            full.write_event(event)
+        assert device.accessibility.taps == 5
+        assert device.logcat.lines == full.lines
 
     def test_mobile_click_validity_rate_is_low(self, small_ecosystem):
         # The paper's mobile crawl lost ~70% of clicks to missing landings.

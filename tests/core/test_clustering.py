@@ -207,5 +207,27 @@ class TestScipyInterop:
                 for j in range(i):
                     assert (ours[i] == ours[j]) == (theirs[i] == theirs[j])
 
+    def test_to_scipy_ties_listed_parents_first(self):
+        # Every merge ties with another, and the list names each parent
+        # before the merges that create its children: rows must still
+        # come out children-first, in the exact order pinned here.
+        merges = [
+            Merge(0, 1, 0.25, 2, 8), Merge(2, 3, 0.25, 2, 9),
+            Merge(4, 5, 0.25, 2, 10), Merge(6, 7, 0.25, 2, 11),
+            Merge(8, 9, 0.25, 4, 12), Merge(10, 11, 0.5, 4, 13),
+            Merge(12, 13, 0.5, 8, 14),
+        ]
+        matrix = Linkage(8, list(reversed(merges))).to_scipy()
+        expected = np.array([
+            [6.0, 7.0, 0.25, 2.0],
+            [4.0, 5.0, 0.25, 2.0],
+            [2.0, 3.0, 0.25, 2.0],
+            [0.0, 1.0, 0.25, 2.0],
+            [10.0, 11.0, 0.25, 4.0],
+            [8.0, 9.0, 0.5, 4.0],
+            [12.0, 13.0, 0.5, 8.0],
+        ])
+        assert matrix.tobytes() == expected.tobytes()
+
     def test_to_scipy_trivial(self):
         assert AgglomerativeClusterer().fit(np.zeros((1, 1))).to_scipy().shape == (0, 4)

@@ -11,6 +11,7 @@ counter once made back-to-back crawls of the same scenario disagree on
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,11 @@ from repro import PushAdMiner, paper_scenario, run_full_crawl
 
 SEED = 11
 SCALE = 0.02
+
+#: sha256 of ``_dataset_bytes`` / ``_stats_bytes`` at ``(SEED, SCALE)``,
+#: pinned before sessions without a prompt stopped building a browser.
+DATASET_SHA256 = "c30be347bdb5ec33580d41696f51cbe81b11e42823bdf1403556632b84a292b2"
+STATS_SHA256 = "1dfcf497c398efc794f4f92932dbcd63d3bbad9ccc88441a9d80280184339445"
 
 
 def _dataset_bytes(dataset) -> str:
@@ -64,6 +70,36 @@ class TestBackToBackDeterminism:
         for record in serial_dataset.records[:50]:
             key = session_key(record.platform, record.source_url)
             assert record.wpn_id.startswith(f"wpn-{key}-")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedCrawl:
+    def test_dataset_and_stats_digests(self, serial_dataset):
+        assert _sha256(_dataset_bytes(serial_dataset)) == DATASET_SHA256
+        assert _sha256(_stats_bytes(serial_dataset)) == STATS_SHA256
+
+    def test_only_prompting_sessions_build_a_browser(self, monkeypatch):
+        import repro.crawler.session as session_module
+
+        built = []
+        real = session_module.InstrumentedBrowser
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["platform"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "InstrumentedBrowser", counting)
+        dataset = run_full_crawl(
+            config=paper_scenario(seed=SEED, scale=SCALE), crawl_workers=1
+        )
+        stats = (dataset.desktop_stats, dataset.mobile_stats)
+        assert sum(s.visited_urls for s in stats) == 1843
+        assert len(built) == sum(s.npr_urls for s in stats) == 208
+        assert set(built) == {"desktop", "mobile"}
+        assert _sha256(_dataset_bytes(dataset)) == DATASET_SHA256
 
 
 class TestWorkerCountInvariance:
