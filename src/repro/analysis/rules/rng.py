@@ -67,6 +67,10 @@ class NoUnseededRngRule(Rule):
                     "an explicit seed or use an RngFactory stream"
                 )
             return None
+        if qualname.startswith("random.Random."):
+            # A method of a typed instance (``rng: random.Random``), i.e. a
+            # draw from that caller-seeded stream, not the global module.
+            return None
         if qualname.startswith("random."):
             return (
                 f"{qualname}() draws from the process-global random module; "

@@ -7,8 +7,9 @@ advertisers publish across sites, while site alerts stay on one source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 import numpy as np
 
@@ -17,7 +18,13 @@ from repro.core.records import WpnRecord
 
 @dataclass
 class WpnCluster:
-    """One flat cluster of WPN records."""
+    """One flat cluster of WPN records.
+
+    The source domains, landing domains and WPN ids are built once per
+    cluster, on first read, and kept as frozensets: the verdict stages and
+    the snapshot export ask each cluster for them many times. ``records``
+    is therefore not mutated after construction.
+    """
 
     cluster_id: int
     records: List[WpnRecord]
@@ -33,22 +40,24 @@ class WpnCluster:
     def is_singleton(self) -> bool:
         return len(self.records) == 1
 
-    @property
-    def source_etld1s(self) -> Set[str]:
+    @cached_property
+    def source_etld1s(self) -> FrozenSet[str]:
         """Distinct second-level domains of the notifying websites."""
-        return {r.source_etld1 for r in self.records}
+        return frozenset(r.source_etld1 for r in self.records)
 
-    @property
-    def landing_etld1s(self) -> Set[str]:
-        return {r.landing_etld1 for r in self.records if r.landing_etld1}
+    @cached_property
+    def landing_etld1s(self) -> FrozenSet[str]:
+        return frozenset(
+            r.landing_etld1 for r in self.records if r.landing_etld1
+        )
 
     @property
     def landing_urls(self) -> Set[str]:
         return {r.landing_url for r in self.records if r.landing_url}
 
-    @property
-    def wpn_ids(self) -> Set[str]:
-        return {r.wpn_id for r in self.records}
+    @cached_property
+    def wpn_ids(self) -> FrozenSet[str]:
+        return frozenset(r.wpn_id for r in self.records)
 
     def titles(self) -> List[str]:
         return [r.title for r in self.records]

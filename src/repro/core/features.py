@@ -9,41 +9,24 @@ Two feature streams per notification:
 
 Everything else collected by the browser (domains, screenshots, IPs) is
 kept out of the clustering features and used only for validation.
+
+A record computes its features once (:attr:`WpnRecord.features` is
+cached on the frozen record); every caller — the batch pipeline, the
+incremental miner and the snapshot export — reads that one cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence
 
-from repro.core.records import WpnRecord
-from repro.util.textproc import tokenize_text, tokenize_url_path
+from repro.core.records import WpnFeatures, WpnRecord
 
-
-@dataclass(frozen=True)
-class WpnFeatures:
-    """The clustering features of one WPN."""
-
-    text_tokens: Tuple[str, ...]
-    url_tokens: frozenset
-
-    @property
-    def has_url_tokens(self) -> bool:
-        return len(self.url_tokens) > 0
+__all__ = ["WpnFeatures", "extract_all", "extract_features"]
 
 
 def extract_features(record: WpnRecord) -> WpnFeatures:
     """Featurize one record. Requires a valid landing page."""
-    landing = record.landing
-    if landing is None:
-        raise ValueError(
-            f"record {record.wpn_id} has no landing page; filter invalid "
-            "records before feature extraction"
-        )
-    return WpnFeatures(
-        text_tokens=tuple(tokenize_text(record.text)),
-        url_tokens=frozenset(tokenize_url_path(landing.path, landing.query)),
-    )
+    return record.features
 
 
 def extract_all(records: Sequence[WpnRecord]) -> List[WpnFeatures]:

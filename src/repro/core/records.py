@@ -5,14 +5,28 @@ browser logs for one push notification: source page, message metadata,
 click outcome, redirect chain and landing page details. Generator ground
 truth rides along in a separate ``WpnTruth`` object that the *analysis*
 modules never read — only the evaluation/verification oracle does.
+
+Every observable derived from a record's fields (parsed URLs, hosts,
+effective second-level domains and the clustering features) is computed
+once, on the first read of any of them, and kept in one
+``functools.cached_property`` slot of the instance ``__dict__``. The
+record is frozen, so the cache never goes stale, and it stays outside the
+dataclass fields: ``==``, ``hash``, ``dataclasses.asdict`` and the
+:mod:`repro.io` JSON bytes are those of the fields alone. The verdict
+stages, the incremental miner and the snapshot export read one record
+many times per absorbed batch, and pay each derivation once per record
+instead.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import NamedTuple, Optional, Tuple
 
 from repro.util.domains import effective_second_level_domain
+from repro.util.textproc import tokenize_text, tokenize_url_path
 from repro.util.urls import Url
 
 
@@ -27,6 +41,29 @@ class WpnTruth:
     operation_id: Optional[str]
     malicious: bool
     is_one_off: bool
+
+
+@dataclass(frozen=True)
+class WpnFeatures:
+    """The clustering features of one WPN (see :mod:`repro.core.features`)."""
+
+    text_tokens: Tuple[str, ...]
+    url_tokens: frozenset
+
+    @property
+    def has_url_tokens(self) -> bool:
+        return len(self.url_tokens) > 0
+
+
+class _Derived(NamedTuple):
+    """What a record derives from its fields, computed together."""
+
+    source_domain: str
+    source_etld1: str
+    landing: Optional[Url]
+    landing_domain: Optional[str]
+    landing_etld1: Optional[str]
+    features: Optional[WpnFeatures]  # None without a landing page
 
 
 @dataclass(frozen=True)
@@ -61,16 +98,42 @@ class WpnRecord:
             raise ValueError("valid records must carry a landing URL")
 
     # ------------------------------------------------------------------
-    # Derived observables used by the clustering features
+    # Derived observables used by the clustering features (cached: see
+    # the module docstring)
     # ------------------------------------------------------------------
+    @cached_property
+    def _derived(self) -> _Derived:
+        # One slot, not one per observable: CPython keeps an instance dict
+        # compact only while at most one key is added after __init__.
+        source = Url.parse(self.source_url).host
+        landing = Url.parse(self.landing_url) if self.landing_url else None
+        if landing is None:
+            return _Derived(
+                source, effective_second_level_domain(source),
+                None, None, None, None,
+            )
+        # Tokens are interned: the features live as long as the record,
+        # and a corpus repeats a few thousand distinct tokens.
+        features = WpnFeatures(
+            text_tokens=tuple(map(sys.intern, tokenize_text(self.text))),
+            url_tokens=frozenset(
+                map(sys.intern, tokenize_url_path(landing.path, landing.query))
+            ),
+        )
+        return _Derived(
+            source, effective_second_level_domain(source),
+            landing, landing.host,
+            effective_second_level_domain(landing.host), features,
+        )
+
     @property
     def source_domain(self) -> str:
-        return Url.parse(self.source_url).host
+        return self._derived.source_domain
 
     @property
     def source_etld1(self) -> str:
         """Effective second-level domain of the notifying website."""
-        return effective_second_level_domain(self.source_domain)
+        return self._derived.source_etld1
 
     @property
     def text(self) -> str:
@@ -79,17 +142,26 @@ class WpnRecord:
 
     @property
     def landing(self) -> Optional[Url]:
-        return Url.parse(self.landing_url) if self.landing_url else None
+        return self._derived.landing
 
     @property
     def landing_domain(self) -> Optional[str]:
-        landing = self.landing
-        return landing.host if landing else None
+        return self._derived.landing_domain
 
     @property
     def landing_etld1(self) -> Optional[str]:
-        domain = self.landing_domain
-        return effective_second_level_domain(domain) if domain else None
+        return self._derived.landing_etld1
+
+    @property
+    def features(self) -> WpnFeatures:
+        """Message-text and landing-path tokens. Requires a landing page."""
+        features = self._derived.features
+        if features is None:
+            raise ValueError(
+                f"record {self.wpn_id} has no landing page; filter invalid "
+                "records before feature extraction"
+            )
+        return features
 
     @property
     def delivery_latency_min(self) -> float:

@@ -16,9 +16,7 @@ against it:
 * :mod:`repro.serve.cache` — :class:`ResponseCache`, the thread-safe LRU
   of canonical response strings;
 * :mod:`repro.serve.wsgi` — a pure-WSGI adapter (no sockets at import
-  time) plus the CLI-edge ``serve_forever``;
-* :mod:`repro.serve.loadgen` — the deterministic threaded load generator
-  (one response checksum at any thread count).
+  time) plus the CLI-edge ``serve_forever``.
 
 The package sits above ``util``/``obs``/``perf``/``core`` and below
 nothing the tests depend on; ``docs/SERVING.md`` documents the snapshot
@@ -32,7 +30,6 @@ from repro.serve.core import (
     ServeCore,
     UnknownCampaignError,
 )
-from repro.serve.loadgen import LoadgenResult, generate_requests, run_load
 from repro.serve.snapshot import (
     SNAPSHOT_SCHEMA,
     MinedSnapshot,
@@ -46,7 +43,6 @@ from repro.serve.wsgi import create_app, serve_forever
 __all__ = [
     "DEFAULT_CACHE_SIZE",
     "InvalidQueryError",
-    "LoadgenResult",
     "MinedSnapshot",
     "RESPONSE_SCHEMA",
     "ResponseCache",
@@ -58,8 +54,6 @@ __all__ = [
     "UnknownCampaignError",
     "canonical_json",
     "create_app",
-    "generate_requests",
     "response_cache_key",
-    "run_load",
     "serve_forever",
 ]

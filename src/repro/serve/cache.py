@@ -11,8 +11,7 @@ computed against an older snapshot can never answer a query against a
 newer one, even if a clear were to race a concurrent store.
 
 The cache is guarded by a single lock (lookup + LRU reorder + counter
-update are one critical section), so a :mod:`repro.serve.loadgen` run can
-hammer one core from many threads.
+update are one critical section), so many threads can hammer one core.
 """
 
 from __future__ import annotations

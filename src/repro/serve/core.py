@@ -30,7 +30,7 @@ the serving snapshot's content hash (see :mod:`repro.serve.cache`), so a
 against the previous snapshot.  Hit/miss counters surface two ways: as
 ``serve.*`` tracer spans when a tracer is injected (single-threaded use
 only — :class:`~repro.obs.Tracer` keeps a shared span stack), and via
-:meth:`cache_info` (thread-safe, used by the load generator).
+:meth:`cache_info` (thread-safe).
 """
 
 from __future__ import annotations

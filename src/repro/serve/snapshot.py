@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.features import extract_features
 from repro.core.pipeline import PipelineResult
 from repro.core.textsim import SoftCosineModel
 
@@ -69,19 +68,31 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _text_hash(text: str) -> str:
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
 def content_hash(payload: Mapping[str, Any]) -> str:
     """blake2b hex digest of the payload with ``content_hash`` blanked."""
     scrubbed = dict(payload)
     scrubbed["content_hash"] = ""
-    return hashlib.blake2b(
-        canonical_json(scrubbed).encode("utf-8"), digest_size=16
-    ).hexdigest()
+    return _text_hash(canonical_json(scrubbed))
 
 
 def _section_hash(section: Any) -> str:
-    return hashlib.blake2b(
-        canonical_json(section).encode("utf-8"), digest_size=16
-    ).hexdigest()
+    return _text_hash(canonical_json(section))
+
+
+def _join_canonical(encoded: Mapping[str, str]) -> str:
+    """``canonical_json`` of an object, from its values' canonical texts.
+
+    Sorted keys and minimal separators make the object's text the sorted
+    ``key:value`` pieces joined by commas, so this is bitwise
+    ``canonical_json({key: value, ...})`` without encoding any value again.
+    """
+    return "{" + ",".join(
+        f"{canonical_json(key)}:{encoded[key]}" for key in sorted(encoded)
+    ) + "}"
 
 
 def encode_array(array: np.ndarray) -> Dict[str, Any]:
@@ -110,15 +121,24 @@ class MinedSnapshot:
     is the intended consumer.
     """
 
-    def __init__(self, payload: Dict[str, Any]):
+    def __init__(self, payload: Dict[str, Any], text: Optional[str] = None):
         self._payload = payload
+        # ``from_result`` keeps the canonical text it assembled, so
+        # ``to_json`` never encodes the payload again; the payload is
+        # therefore read-only once exported.
+        self._text = text
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     @classmethod
     def from_result(cls, result: PipelineResult) -> "MinedSnapshot":
-        """Freeze a completed :class:`PipelineResult` into a snapshot."""
+        """Freeze a completed :class:`PipelineResult` into a snapshot.
+
+        Each section is encoded once, and the stage hashes, the content
+        hash and the kept :meth:`to_json` text all derive from those
+        encodings (see ``docs/SERVING.md``).
+        """
         model = result.text_model
         if model is None or not model.is_fitted:
             raise SnapshotError(
@@ -135,7 +155,7 @@ class MinedSnapshot:
 
         records: List[Dict[str, Any]] = []
         for record, label in zip(result.records, result.labels):
-            features = extract_features(record)
+            features = record.features
             records.append(
                 {
                     "wpn_id": record.wpn_id,
@@ -235,6 +255,11 @@ class MinedSnapshot:
             "verdicts": verdicts,
             "urls": urls,
         }
+        # Each section is encoded once; its stage hash, the content hash
+        # and the snapshot text are all derived from that one encoding.
+        encoded = {
+            name: canonical_json(section) for name, section in sections.items()
+        }
         payload: Dict[str, Any] = {
             "schema": SNAPSHOT_SCHEMA,
             "content_hash": "",
@@ -243,8 +268,7 @@ class MinedSnapshot:
                 "config": config_section,
                 "config_fingerprint": _section_hash(config_section),
                 "stage_hashes": {
-                    name: _section_hash(section)
-                    for name, section in sorted(sections.items())
+                    name: _text_hash(encoded[name]) for name in sorted(encoded)
                 },
             },
             "cut_threshold": float(result.cut_threshold),
@@ -252,8 +276,13 @@ class MinedSnapshot:
             "suspicious_domains": suspicious_domains,
             **sections,
         }
-        payload["content_hash"] = content_hash(payload)
-        return cls(payload)
+        for key, value in payload.items():
+            if key not in encoded:
+                encoded[key] = canonical_json(value)
+        # content_hash(payload): the hash of the text with the field blank.
+        payload["content_hash"] = _text_hash(_join_canonical(encoded))
+        encoded["content_hash"] = canonical_json(payload["content_hash"])
+        return cls(payload, text=_join_canonical(encoded))
 
     # ------------------------------------------------------------------
     # Import
@@ -301,6 +330,8 @@ class MinedSnapshot:
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """Canonical JSON of the payload (what :meth:`save` writes)."""
+        if self._text is not None:
+            return self._text
         return canonical_json(self._payload)
 
     def save(self, path: str) -> str:

@@ -150,6 +150,67 @@ class TestSuppressionAtShipSite:
         assert result.findings == []
 
 
+class TestTypedRngParameter:
+    """A helper that takes its stream as ``rng: random.Random`` draws from
+    that caller-seeded instance, not from the global ``random`` module."""
+
+    FILES = {
+        "kernels": """
+            import random
+
+
+            def draw(rng: random.Random, n: int) -> float:
+                return rng.random() + rng.choice([1, 2]) * n
+
+
+            def seeded_kernel(seed: int) -> float:
+                return draw(random.Random(seed), seed)
+
+
+            def global_kernel(seed: int) -> float:
+                return random.random() + seed
+            """,
+        "driver": """
+            from concurrent.futures import ProcessPoolExecutor
+
+            from rngpkg.kernels import global_kernel, seeded_kernel
+
+
+            def run_seeded(n: int) -> None:
+                with ProcessPoolExecutor() as pool:
+                    for i in range(n):
+                        pool.submit(seeded_kernel, i)
+
+
+            def run_global(n: int) -> None:
+                with ProcessPoolExecutor() as pool:
+                    for i in range(n):
+                        pool.submit(global_kernel, i)
+            """,
+    }
+
+    def _purity(self, tmp_path):
+        write_package(tmp_path, "rngpkg", self.FILES)
+        return purity_findings(run_flow([tmp_path / "rngpkg"]))
+
+    def test_draws_from_typed_parameter_are_clean(self, tmp_path):
+        seeded = [
+            ff.finding
+            for ff in self._purity(tmp_path)
+            if "seeded_kernel" in ff.finding.message
+        ]
+        assert seeded == [], [str(f) for f in seeded]
+
+    def test_global_module_draw_still_flagged(self, tmp_path):
+        flagged = [
+            ff.finding
+            for ff in self._purity(tmp_path)
+            if "global_kernel" in ff.finding.message
+        ]
+        assert len(flagged) == 1
+        assert "global-rng source random.random " in flagged[0].message
+
+
 class TestRealTreeBlockingKernels:
     def test_sharded_blocking_kernels_are_parallel_pure(self):
         result = run_flow([SRC])

@@ -1,9 +1,16 @@
 """Tests for WPN records and feature extraction."""
 
+import dataclasses
+import json
+import pickle
+
 import pytest
 
 from repro.core.features import extract_all, extract_features
+from repro.core.pipeline import PushAdMiner
 from repro.core.records import WpnRecord, WpnTruth
+from repro.io import record_to_dict, save_records
+from repro.util.urls import Url
 
 
 def make_record(**overrides):
@@ -95,6 +102,86 @@ class TestFeatures:
         features = extract_all([a, b])
         assert len(features) == 2
         assert "other" in features[1].text_tokens
+
+
+#: Every derived observable a record caches on first read.
+DERIVED = ("source_domain", "source_etld1", "landing", "landing_domain",
+           "landing_etld1", "features")
+
+
+def _fingerprint(record):
+    """The record's field-level identity: io JSON line, asdict, hash."""
+    return (
+        json.dumps(record_to_dict(record), sort_keys=True),
+        dataclasses.asdict(record),
+        hash(record),
+    )
+
+
+class TestDerivedCache:
+    """Derived observables are cached outside the dataclass fields."""
+
+    def test_reads_leave_field_identity_unchanged(self, tmp_path):
+        record, twin = make_record(), make_record()
+        before = _fingerprint(record)
+        save_records([record], tmp_path / "before.jsonl")
+        for name in DERIVED:
+            getattr(record, name)
+        # The reads were cached, outside the dataclass fields.
+        assert len(vars(record)) > len(dataclasses.fields(record))
+        save_records([record], tmp_path / "after.jsonl")
+        assert (tmp_path / "after.jsonl").read_bytes() == (
+            tmp_path / "before.jsonl"
+        ).read_bytes()
+        assert _fingerprint(record) == before
+        assert record == twin and hash(record) == hash(twin)
+        assert pickle.loads(pickle.dumps(record)) == twin
+
+    def test_cached_values_equal_a_fresh_derivation(self):
+        record = make_record()
+        first = [getattr(record, name) for name in DERIVED]
+        assert [getattr(make_record(), name) for name in DERIVED] == first
+        # A second read returns the very object the first one cached.
+        assert all(getattr(record, n) is v for n, v in zip(DERIVED, first))
+
+    def test_replace_derives_afresh(self):
+        record = make_record()
+        assert record.landing_etld1 == "win-prize.xyz"
+        moved = dataclasses.replace(
+            record, landing_url="https://other.example.org/a/b.php"
+        )
+        assert moved.landing_etld1 == "example.org"
+        assert moved.features.url_tokens == frozenset({"a", "b", "php"})
+
+    def test_invalid_record_refuses_features_on_every_read(self):
+        record = make_record(valid=False, landing_url=None, redirect_hops=(),
+                             visual_hash=None, landing_ip=None,
+                             landing_registrant=None)
+        assert record.source_etld1 == "example.com"
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no landing page"):
+                record.features
+
+    def test_two_verdict_passes_parse_each_url_once(
+        self, small_dataset, small_result, monkeypatch
+    ):
+        # Fresh copies: no derived value is cached on them yet.
+        records = [dataclasses.replace(r) for r in small_result.records]
+        parsed = []
+        parse = Url.parse.__func__
+
+        def counting(cls, text):
+            parsed.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(Url, "parse", classmethod(counting))
+        miner = PushAdMiner.for_dataset(small_dataset)
+        first = miner.run_verdict_stages(records, small_result.labels)
+        second = miner.run_verdict_stages(records, small_result.labels)
+        # One source and one landing URL per record, across both passes.
+        assert len(parsed) <= 2 * len(records)
+        assert second.labeling == first.labeling
+        assert second.suspicion == first.suspicion
 
 
 class TestPageSignals:

@@ -81,6 +81,17 @@ class TestPinnedCrawl:
         assert _sha256(_dataset_bytes(serial_dataset)) == DATASET_SHA256
         assert _sha256(_stats_bytes(serial_dataset)) == STATS_SHA256
 
+    def test_digests_survive_derived_reads(self, serial_dataset):
+        # Records cache their derived observables outside the dataclass
+        # fields, so reading them never moves the serialized bytes.
+        derived = [
+            (r.source_etld1, r.landing_etld1, r.features if r.valid else None)
+            for r in serial_dataset.records
+        ]
+        assert all(source for source, _, _ in derived)
+        assert _sha256(_dataset_bytes(serial_dataset)) == DATASET_SHA256
+        assert _sha256(_stats_bytes(serial_dataset)) == STATS_SHA256
+
     def test_only_prompting_sessions_build_a_browser(self, monkeypatch):
         import repro.crawler.session as session_module
 

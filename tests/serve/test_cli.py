@@ -72,14 +72,26 @@ class TestMain:
 # print every canonical response line. stdout must be byte-identical.
 _QUERY_SCRIPT = """\
 import sys
-from repro.serve import MinedSnapshot, ServeCore, canonical_json, \\
-    generate_requests
-from repro.serve.loadgen import _dispatch
+from repro.serve import MinedSnapshot, ServeCore, canonical_json
 
 snapshot = MinedSnapshot.load(sys.argv[1])
 core = ServeCore(snapshot, workers=int(sys.argv[2]))
-for request in generate_requests(snapshot, 30, seed=17):
-    sys.stdout.write(canonical_json(_dispatch(core, request)) + "\\n")
+urls = sorted(snapshot.urls)[:10] + ["https://never-crawled.example/x/1"]
+wpns = [
+    {
+        "title": " ".join(row["text_tokens"][:6]),
+        "body": " ".join(row["text_tokens"][6:]),
+        "landing_url": row["landing_url"],
+    }
+    for row in snapshot.records[:10]
+]
+cluster_ids = sorted(
+    int(entry["cluster_id"]) for entry in snapshot.campaigns.values()
+)[:5]
+answers = core.check_batch(urls) + core.classify_batch(wpns)
+answers += [core.campaign(cid) for cid in cluster_ids] + [core.stats()]
+for answer in answers:
+    sys.stdout.write(canonical_json(answer) + "\\n")
 """
 
 
