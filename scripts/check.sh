@@ -99,7 +99,7 @@ PYEOF
 # per-tile checksums verified against canonical recomputes — and demand
 # the same output bytes as an unperturbed run. The permutation seed is
 # randomized per invocation (printed for replay; pin with DETSAN_SEED).
-step "DetSan (crawl_workers=2 byte-identity + dense and sparse miner sweeps under permuted order)"
+step "DetSan (crawl_workers=2 byte-identity + mine, absorb and classify sweeps under permuted order)"
 DETSAN_SEED="${DETSAN_SEED:-$RANDOM}" python - <<'PYEOF' || failures=$((failures + 1))
 import dataclasses, json, os
 
@@ -156,6 +156,54 @@ assert not san.report.divergences, san.report.divergences
 assert baseline == shaken, "sparse miner output changed under DetSan"
 print(
     f"DetSan sparse miner: identical under "
+    f"{san.report.streams_permuted} permuted stream(s), "
+    f"{san.report.tiles_verified} tile(s) verified"
+)
+
+# The other three ship sites: the dense absorb's all-rows query kernel,
+# the sparse absorb's blocked nearest-row search and serve's classify.
+# Each must give the same AbsorbReport, exported-result hash and
+# response bytes as an unperturbed run.
+from repro.incremental import IncrementalMiner
+from repro.serve import MinedSnapshot, ServeCore, canonical_json
+
+valid = plain.valid_records
+base, batch = valid[:-24], valid[-24:]
+for offset, storage, blocking in ((3, "dense", "none"), (4, "sparse", "url")):
+    mined = PushAdMiner.for_dataset(
+        plain, storage=storage, blocking=blocking, tile_size=64
+    ).run(base)
+
+    def absorb():
+        incremental = IncrementalMiner.from_result(mined)
+        report = incremental.absorb(batch)
+        return report, MinedSnapshot.from_result(incremental.result()).hash
+
+    baseline = absorb()
+    with DetSan(seed=seed + offset, verify_tiles=True) as san:
+        shaken = absorb()
+    assert san.report.streams_permuted > 0, f"{storage} absorb never permuted"
+    assert not san.report.divergences, san.report.divergences
+    assert baseline == shaken, f"{storage} absorb changed under DetSan"
+    print(
+        f"DetSan {storage} absorb: identical under "
+        f"{san.report.streams_permuted} permuted stream(s), "
+        f"{san.report.tiles_verified} tile(s) verified"
+    )
+
+queries = [
+    {"title": r.title, "body": r.body, "landing_url": r.landing_url}
+    for r in batch
+]
+core = ServeCore(MinedSnapshot.from_result(mined), tile_size=64, cache_size=0)
+baseline = canonical_json(core.classify_batch(queries))
+with DetSan(seed=seed + 5, verify_tiles=True) as san:
+    shaken = canonical_json(core.classify_batch(queries))
+assert san.report.streams_permuted > 0, "sanitizer never engaged classify"
+assert not san.report.divergences, san.report.divergences
+assert baseline == shaken, "classify responses changed under DetSan"
+print(
+    f"DetSan classify: byte-identical under "
     f"{san.report.streams_permuted} permuted stream(s), "
     f"{san.report.tiles_verified} tile(s) verified"
 )

@@ -97,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(flow-parallel-purity), shared-state races "
             "(flow-shared-state-race), unordered reductions "
             "(flow-unordered-reduction), quadratic dense allocations "
-            "(flow-dense-alloc), implicit dtype promotion "
-            "(flow-dtype-promotion) and tie-unstable sorts "
+            "(flow-dense-alloc) and tie-unstable sorts "
             "(flow-unstable-order)"
         ),
     )

@@ -31,10 +31,6 @@ the interprocedural layer:
   the :mod:`~repro.analysis.flow.shapes` abstract domain and certifies
   no function in the sparse/parallel kernel region allocates a dense
   array quadratic in the record count;
-* :class:`~repro.analysis.flow.promotion.DtypePromotionPass`
-  (rule ``flow-dtype-promotion``) — reports implicit float32/float64
-  mixes (including through returned arrays), int/int true division, and
-  Python-float accumulation on kernel-region-to-sink paths;
 * :class:`~repro.analysis.flow.ordering.UnstableOrderPass`
   (rule ``flow-unstable-order``) — reports default-``kind`` argsorts,
   single-key lexsorts, and float-keyed ``sorted()`` calls whose tie
@@ -48,7 +44,6 @@ from repro.analysis.flow.cache import SummaryCache, ruleset_fingerprint
 from repro.analysis.flow.dense import DenseAllocPass
 from repro.analysis.flow.index import CallGraph, ProjectIndex
 from repro.analysis.flow.ordering import UnstableOrderPass
-from repro.analysis.flow.promotion import DtypePromotionPass
 from repro.analysis.flow.purity import ParallelPurityPass
 from repro.analysis.flow.races import SharedStateRacePass, UnorderedReductionPass
 from repro.analysis.flow.run import FlowResult, run_flow
@@ -59,7 +54,6 @@ from repro.analysis.flow.taint import NondetTaintPass
 __all__ = [
     "CallGraph",
     "DenseAllocPass",
-    "DtypePromotionPass",
     "FlowResult",
     "FunctionSummary",
     "KernelScope",

@@ -11,7 +11,6 @@ from repro.analysis.flow.cache import SummaryCache
 from repro.analysis.flow.dense import DenseAllocPass
 from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.ordering import UnstableOrderPass
-from repro.analysis.flow.promotion import DtypePromotionPass
 from repro.analysis.flow.purity import ParallelPurityPass
 from repro.analysis.flow.races import SharedStateRacePass, UnorderedReductionPass
 from repro.analysis.flow.taint import FlowFinding, NondetTaintPass
@@ -40,7 +39,7 @@ def run_flow(
     index: Optional[ProjectIndex] = None,
     workers: int = 1,
 ) -> FlowResult:
-    """Run the taint + purity + race + shape/dtype passes over a project.
+    """Run the taint + purity + race + shape passes over a project.
 
     ``rule_ids`` selects which passes run (``--select``/``--ignore``
     filtered by the CLI); ``cache`` enables the content-hash incremental
@@ -64,8 +63,6 @@ def run_flow(
         collected.extend(UnorderedReductionPass(index, graph).run())
     if "flow-dense-alloc" in rule_ids:
         collected.extend(DenseAllocPass(index, graph).run())
-    if "flow-dtype-promotion" in rule_ids:
-        collected.extend(DtypePromotionPass(index, graph).run())
     if "flow-unstable-order" in rule_ids:
         collected.extend(UnstableOrderPass(index, graph).run())
     collected.sort(key=lambda ff: ff.finding)

@@ -1,6 +1,6 @@
-"""Interprocedural glue for the shape/dtype passes.
+"""Interprocedural glue for the shape passes.
 
-Three pieces, all deterministic and all consuming only
+Two pieces, both deterministic and both consuming only
 :class:`~repro.analysis.flow.index.ProjectIndex` facts:
 
 * :class:`KernelScope` — the *kernel region*: every function reachable
@@ -18,10 +18,6 @@ Three pieces, all deterministic and all consuming only
   each function parameter's extent class from what callers actually pass
   (``helper(len(records))`` makes ``helper``'s ``n`` parameter ``big``),
   so a dense allocation hidden behind a helper call is still classified.
-
-* :func:`resolve_dtype` — chases a deferred ``"call:<ref>"`` dtype atom
-  through callee ``returns_dtype`` facts, so a float32 array returned by
-  a helper still meets its float64 partner at the combination site.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ from repro.analysis.flow.shapes import (
     join_extent,
     name_extent_class,
 )
-
-_MAX_DTYPE_CHASE = 8
 
 _ROLE_REASONS = {
     "sparse-param": "function with a Sparse*-typed parameter",
@@ -160,28 +154,3 @@ def resolve_extent(
     if resolved == "unknown":
         return name_extent_class(name)
     return resolved
-
-
-def resolve_dtype(
-    index: ProjectIndex, atom: str
-) -> Tuple[str, List[FuncKey]]:
-    """Resolve a dtype atom, chasing ``call:<ref>`` through return facts.
-
-    Returns the final atom plus every callee the chase went through (the
-    promotion pass uses them for kernel-region membership: a promotion is
-    "hidden through a returned array" when the returning helper is in
-    scope even if the combining function is not).
-    """
-    via: List[FuncKey] = []
-    for _ in range(_MAX_DTYPE_CHASE):
-        if not atom.startswith("call:"):
-            return atom, via
-        key = index.resolve_callable(atom[len("call:"):])
-        if key is None:
-            return "unknown", via
-        fn = index.function(key)
-        if fn is None:
-            return "unknown", via
-        via.append(key)
-        atom = fn.returns_dtype
-    return "unknown", via

@@ -1,13 +1,11 @@
-"""Symbolic shape/dtype abstract interpretation over one function body.
+"""Symbolic shape abstract interpretation over one function body.
 
 This is the extraction half of the shape analysis: a small abstract
 interpreter that walks one function's AST and produces the serializable
 facts (:class:`~repro.analysis.flow.summary.AllocSite`,
-:class:`~repro.analysis.flow.summary.DtypeEvent`,
 :class:`~repro.analysis.flow.summary.SortEvent`, call-site guards and
 argument extent classes) the interprocedural passes in
-:mod:`repro.analysis.flow.scope`, :mod:`repro.analysis.flow.dense`,
-:mod:`repro.analysis.flow.promotion` and
+:mod:`repro.analysis.flow.scope`, :mod:`repro.analysis.flow.dense` and
 :mod:`repro.analysis.flow.ordering` consume.
 
 Extent lattice (per array dimension)::
@@ -32,11 +30,6 @@ The analysis **under-approximates**: ``unknown`` never fires, unresolved
 references produce no fact, and a dimension only counts toward
 Theta(n^2) when its class provably joins to ``big``/``quad``.
 
-Dtype atoms are ``"int"``, ``"float32"``, ``"float64"``, ``"unknown"``
-and the deferred ``"call:<ref>"`` (resolved through the callee's
-``returns_dtype``, so a float32 array hidden behind a helper's return
-value still meets its float64 partner at the combination site).
-
 Path conditions ("guards") are conjunction atoms collected from enclosing
 ``if`` tests over the pipeline knobs (``storage``/``precision``/
 ``blocking``) and ``isinstance(x, Sparse*)`` checks, with else-branch and
@@ -52,7 +45,7 @@ import ast
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.flow.summary import AllocSite, DtypeEvent, SortEvent
+from repro.analysis.flow.summary import AllocSite, SortEvent
 
 #: Names conventionally holding a record count (the ``n`` of Theta(n^2)).
 BIG_NAME_RE = re.compile(r"^(n|m|n_[a-z0-9_]+|num_[a-z0-9_]+)$")
@@ -77,33 +70,20 @@ SPARSE_PATH_ATOMS = frozenset({"storage==sparse", "sparse-inst"})
 
 _EXTENT_ORDER = {"unknown": 0, "const": 1, "tile": 2, "big": 3, "quad": 4}
 
-#: Allocator ref -> default dtype atom ("" = infer from the fill value).
-_ALLOCATORS: Dict[str, str] = {
-    "numpy.zeros": "float64",
-    "numpy.ones": "float64",
-    "numpy.empty": "float64",
-    "numpy.full": "",
-}
+#: Allocators whose first argument (or ``shape=``) is the array shape.
+_ALLOCATORS = frozenset(
+    {"numpy.zeros", "numpy.ones", "numpy.empty", "numpy.full"}
+)
 
-_DTYPE_ATOMS: Dict[str, str] = {
-    "numpy.float32": "float32",
-    "numpy.single": "float32",
-    "numpy.float64": "float64",
-    "numpy.double": "float64",
-    "numpy.float_": "float64",
-    "float32": "float32",
-    "float64": "float64",
-    "numpy.int8": "int",
-    "numpy.int16": "int",
-    "numpy.int32": "int",
-    "numpy.int64": "int",
-    "numpy.intp": "int",
-    "numpy.int_": "int",
-    "int8": "int",
-    "int16": "int",
-    "int32": "int",
-    "int64": "int",
-}
+#: Allocators whose result takes the shape of their first argument.
+_LIKE_ALLOCATORS = frozenset(
+    {
+        "numpy.zeros_like",
+        "numpy.ones_like",
+        "numpy.empty_like",
+        "numpy.full_like",
+    }
+)
 
 _STABLE_SORT_KINDS = frozenset({"stable", "mergesort"})
 
@@ -280,13 +260,13 @@ def guard_map(fn_node: ast.AST) -> Dict[GuardKey, Tuple[str, ...]]:
 # The per-function interpreter
 # ----------------------------------------------------------------------
 class ShapeExtractor:
-    """Evaluate one function body over the extent/dtype domains.
+    """Evaluate one function body over the extent domain.
 
     ``owner`` is the module extractor (duck-typed: it provides
     ``_ref_of_expr`` and ``src``); ``local`` its per-function scope. The
     constructor runs the environment-building pass; ``guards_at`` /
     ``arg_classes`` serve the call-site walk, and :meth:`collect` appends
-    the alloc/dtype/sort facts to a summary.
+    the alloc/sort facts to a summary.
     """
 
     def __init__(self, owner, fn_node: ast.AST, local) -> None:
@@ -303,7 +283,6 @@ class ShapeExtractor:
         self.guards = guard_map(fn_node)
         self._ext_env: Dict[str, Tuple[str, str]] = {}
         self._arr_env: Dict[str, Tuple[Tuple[str, str], ...]] = {}
-        self._dtype_env: Dict[str, str] = {}
         self._build_envs()
 
     # -- environments --------------------------------------------------
@@ -334,14 +313,9 @@ class ShapeExtractor:
                 if previous is not None and previous[1] != cls:
                     cls = join_extent(previous[1], cls)
                 self._ext_env[name] = (name, cls)
-            dims, dtype = self.array_of(value)
+            dims = self.array_of(value)
             if dims is not None:
                 self._arr_env[name] = dims
-            if dtype != "unknown":
-                previous_dtype = self._dtype_env.get(name)
-                if previous_dtype is not None and previous_dtype != dtype:
-                    dtype = "unknown"
-                self._dtype_env[name] = dtype
 
     # -- call-site services --------------------------------------------
     def guards_at(self, node: ast.AST) -> Tuple[str, ...]:
@@ -460,57 +434,35 @@ class ShapeExtractor:
             return left
         return "unknown"
 
-    # -- array/dtype evaluation ----------------------------------------
+    # -- array evaluation ----------------------------------------------
     def array_of(
         self, expr: ast.expr
-    ) -> Tuple[Optional[Tuple[Tuple[str, str], ...]], str]:
-        """``(dims or None, dtype atom)`` of an array-producing expression."""
+    ) -> Optional[Tuple[Tuple[str, str], ...]]:
+        """Per-dimension extents of an array-producing expression, if known."""
         if not isinstance(expr, ast.Call):
-            return (None, "unknown")
+            return None
         func = expr.func
         if isinstance(func, ast.Attribute) and func.attr == "astype":
-            atom = self._dtype_arg_atom(expr.args[0]) if expr.args else "unknown"
-            receiver_dims, _ = (
-                (self._arr_env.get(func.value.id), "")
-                if isinstance(func.value, ast.Name)
-                else (None, "")
-            )
-            return (receiver_dims, atom)
+            if isinstance(func.value, ast.Name):
+                return self._arr_env.get(func.value.id)
+            return None
         ref = self.owner._ref_of_expr(func, self.local)
-        if ref is None:
-            return (None, "unknown")
         if ref in _ALLOCATORS:
-            dims = self._alloc_dims(expr)
-            return (dims, self._alloc_dtype(expr, ref))
-        if ref in (
-            "numpy.zeros_like",
-            "numpy.ones_like",
-            "numpy.empty_like",
-            "numpy.full_like",
-        ):
-            dims = None
+            return self._alloc_dims(expr)
+        if ref in _LIKE_ALLOCATORS:
             if expr.args and isinstance(expr.args[0], ast.Name):
-                dims = self._arr_env.get(expr.args[0].id)
-            dtype = self._kwarg_dtype(expr)
-            return (dims, dtype if dtype is not None else "unknown")
+                return self._arr_env.get(expr.args[0].id)
+            return None
         if ref == "numpy.outer" and len(expr.args) >= 2:
             return (
-                (
-                    self._vector_extent(expr.args[0]),
-                    self._vector_extent(expr.args[1]),
-                ),
-                "unknown",
+                self._vector_extent(expr.args[0]),
+                self._vector_extent(expr.args[1]),
             )
         if ref == "numpy.broadcast_to" and len(expr.args) >= 2:
-            return (self._shape_dims(expr.args[1]), "unknown")
+            return self._shape_dims(expr.args[1])
         if ref == "numpy.arange":
-            return (((_display(expr), "big"),), "int")
-        if "." in ref and not ref.startswith("numpy.") and not ref.startswith(
-            "scipy."
-        ):
-            # A project call: defer the dtype to the callee's returns_dtype.
-            return (None, f"call:{ref}")
-        return (None, "unknown")
+            return ((_display(expr), "big"),)
+        return None
 
     def _alloc_dims(
         self, call: ast.Call
@@ -536,82 +488,16 @@ class ShapeExtractor:
                 return dims[0]
         return (_display(expr), "unknown")
 
-    def _kwarg_dtype(self, call: ast.Call) -> Optional[str]:
-        for kw in call.keywords:
-            if kw.arg == "dtype":
-                return self._dtype_arg_atom(kw.value)
-        return None
-
-    def _alloc_dtype(self, call: ast.Call, ref: str) -> str:
-        explicit = self._kwarg_dtype(call)
-        if explicit is not None:
-            return explicit
-        default = _ALLOCATORS[ref]
-        if default:
-            return default
-        # np.full: the dtype follows the fill value.
-        if len(call.args) >= 2 and isinstance(call.args[1], ast.Constant):
-            value = call.args[1].value
-            if isinstance(value, bool):
-                return "unknown"
-            if isinstance(value, int):
-                return "int"
-            if isinstance(value, float):
-                return "float64"
-        return "unknown"
-
-    def _dtype_arg_atom(self, expr: ast.expr) -> str:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return _DTYPE_ATOMS.get(expr.value, "unknown")
-        ref = self.owner._ref_of_expr(expr, self.local)
-        if ref is not None:
-            return _DTYPE_ATOMS.get(ref, "unknown")
-        return "unknown"
-
-    def dtype_of(self, expr: ast.expr) -> Tuple[str, bool]:
-        """``(atom, is_array)`` of an arithmetic operand."""
-        if isinstance(expr, ast.Name):
-            atom = self._dtype_env.get(expr.id)
-            if atom is not None:
-                return (atom, True)
-            return ("unknown", False)
-        if isinstance(expr, ast.Subscript):
-            base = expr.value
-            if isinstance(base, ast.Name):
-                atom = self._dtype_env.get(base.id)
-                if atom is not None:
-                    return (atom, True)
-            return ("unknown", False)
-        if isinstance(expr, ast.Call):
-            _, atom = self.array_of(expr)
-            if atom != "unknown":
-                return (atom, True)
-            return ("unknown", False)
-        if isinstance(expr, ast.BinOp):
-            left, left_arr = self.dtype_of(expr.left)
-            right, right_arr = self.dtype_of(expr.right)
-            return (_promote(left, right), left_arr or right_arr)
-        if isinstance(expr, ast.UnaryOp):
-            return self.dtype_of(expr.operand)
-        return ("unknown", False)
-
     # -- event collection ----------------------------------------------
     def collect(self, fn) -> None:
-        """Append alloc/dtype/sort facts and roles to ``fn`` (a summary)."""
+        """Append alloc/sort facts and params to ``fn`` (a summary)."""
         for inner in ast.walk(self.node):
             if isinstance(inner, ast.Call):
                 self._collect_alloc(fn, inner)
-                self._collect_accum(fn, inner)
                 self._collect_sort(fn, inner)
-            elif isinstance(inner, ast.BinOp):
-                self._collect_binop(fn, inner)
-            elif isinstance(inner, ast.AugAssign):
-                self._collect_augassign(fn, inner)
         self._collect_broadcasts(fn)
         fn.params = list(self.params)
-        fn.returns_dtype = self._returns_dtype()
         fn.allocs.sort(key=lambda a: (a.line, a.what))
-        fn.dtype_events.sort(key=lambda e: (e.line, e.kind, e.what))
         fn.sorts.sort(key=lambda s: (s.line, s.kind, s.what))
 
     def _record_alloc(
@@ -642,7 +528,7 @@ class ShapeExtractor:
         )
 
     def _collect_alloc(self, fn, call: ast.Call) -> None:
-        dims, _ = self.array_of(call)
+        dims = self.array_of(call)
         if dims is None:
             return
         ref = (
@@ -692,81 +578,6 @@ class ShapeExtractor:
         if not (is_none and is_full):
             return None
         return self._vector_extent(expr.value)
-
-    def _collect_binop(self, fn, node: ast.BinOp) -> None:
-        left, left_arr = self.dtype_of(node.left)
-        right, right_arr = self.dtype_of(node.right)
-        if not (left_arr and right_arr):
-            return
-        if left == "unknown" or right == "unknown":
-            return
-        deferred = left.startswith("call:") or right.startswith("call:")
-        floats = {left, right} & {"float32", "float64"}
-        if isinstance(node.op, ast.Div):
-            if (left in ("int",) or left.startswith("call:")) and (
-                right in ("int",) or right.startswith("call:")
-            ):
-                self._record_dtype(fn, "div", node, left, right)
-                return
-        if len(floats) == 2 or (deferred and floats):
-            self._record_dtype(fn, "binop", node, left, right)
-        elif deferred and not floats and left != right:
-            self._record_dtype(fn, "binop", node, left, right)
-
-    def _collect_augassign(self, fn, node: ast.AugAssign) -> None:
-        if not isinstance(node.target, ast.Name):
-            return
-        left, left_arr = self.dtype_of(node.target)
-        right, right_arr = self.dtype_of(node.value)
-        if not (left_arr and right_arr):
-            return
-        if left == "unknown" or right == "unknown":
-            return
-        if {left, right} == {"float32", "float64"} or (
-            (left.startswith("call:") or right.startswith("call:"))
-            and {left, right} & {"float32", "float64"}
-        ):
-            self._record_dtype(fn, "binop", node, left, right)
-
-    def _record_dtype(
-        self, fn, kind: str, node: ast.AST, left: str, right: str
-    ) -> None:
-        fn.dtype_events.append(
-            DtypeEvent(
-                kind=kind,
-                what=_display(node, limit=40),
-                left=left,
-                right=right,
-                line=node.lineno,
-                guards=self.guards_at(node),
-            )
-        )
-
-    def _collect_accum(self, fn, call: ast.Call) -> None:
-        """Builtin ``sum()`` over a float-valued generator/comprehension."""
-        func = call.func
-        if not (
-            isinstance(func, ast.Name)
-            and func.id == "sum"
-            and not self.local.binds("sum")
-            and call.args
-        ):
-            return
-        arg = call.args[0]
-        if not isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
-            return
-        if not self._floaty(arg.elt):
-            return
-        fn.dtype_events.append(
-            DtypeEvent(
-                kind="accum",
-                what=f"sum({_display(arg.elt, limit=30)} for ...)",
-                left="",
-                right="",
-                line=call.lineno,
-                guards=self.guards_at(call),
-            )
-        )
 
     def _floaty(self, expr: ast.expr) -> bool:
         for inner in ast.walk(expr):
@@ -843,37 +654,6 @@ class ShapeExtractor:
                         )
                     )
                 return
-
-    # -- return dtype ---------------------------------------------------
-    def _returns_dtype(self) -> str:
-        atom: Optional[str] = None
-        for inner in ast.walk(self.node):
-            if not isinstance(inner, ast.Return) or inner.value is None:
-                continue
-            value_atom, is_array = self.dtype_of(inner.value)
-            if not is_array or value_atom == "unknown":
-                return "unknown"
-            if atom is None:
-                atom = value_atom
-            elif atom != value_atom:
-                return "unknown"
-        return atom if atom is not None else "unknown"
-
-
-def _promote(left: str, right: str) -> str:
-    """Numpy-style result atom of combining two known operand atoms."""
-    if left == right:
-        return left
-    if "unknown" in (left, right):
-        return "unknown"
-    if left.startswith("call:") or right.startswith("call:"):
-        return "unknown"
-    if "float64" in (left, right):
-        return "float64"
-    if "float32" in (left, right):
-        return "float32"
-    return "unknown"
-
 
 def function_roles(
     fn_node: ast.AST, class_name: Optional[str], annotation_class

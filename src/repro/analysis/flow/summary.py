@@ -19,11 +19,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.suppress import Suppressions
 
 #: Bump when the extraction format changes; stale cache entries are dropped.
-#: v3 added the symbolic shape/dtype facts (allocs, dtype events, sort
-#: events, call guards and argument extent classes) for the
-#: :mod:`repro.analysis.flow.shapes` passes; v4 dropped the
-#: ``"densifier"`` kernel-region role.
-SUMMARY_VERSION = 4
+#: v3 added the symbolic shape facts (allocs, sort events, call guards
+#: and argument extent classes) for the :mod:`repro.analysis.flow.shapes`
+#: passes; v4 dropped the ``"densifier"`` kernel-region role; v5 dropped
+#: the dtype facts (``dtype_events``, ``returns_dtype``).
+SUMMARY_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -98,48 +98,6 @@ class AllocSite:
             classes=tuple(str(c) for c in d.get("classes", ())),  # type: ignore[union-attr]
             line=int(d["line"]),  # type: ignore[arg-type]
             line_text=str(d.get("line_text", "")),
-            guards=tuple(str(g) for g in d.get("guards", ())),  # type: ignore[union-attr]
-        )
-
-
-@dataclass(frozen=True)
-class DtypeEvent:
-    """One dtype combination the promotion pass must adjudicate.
-
-    ``kind`` is ``"binop"`` for an arithmetic combination of two array
-    operands, ``"div"`` for a true-divide, ``"accum"`` for builtin
-    ``sum()`` over a float-valued generator/comprehension. ``left`` and
-    ``right`` are dtype atoms — ``"float32"``, ``"float64"``, ``"int"``,
-    or a deferred ``"call:<ref>"`` resolved through the callee's
-    ``returns_dtype`` — so a float32 array hidden behind a helper's
-    return value still meets its float64 partner here.
-    """
-
-    kind: str  # "binop" | "div" | "accum"
-    what: str  # display form, e.g. "emb * weights"
-    left: str
-    right: str
-    line: int
-    guards: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "what": self.what,
-            "left": self.left,
-            "right": self.right,
-            "line": self.line,
-            "guards": list(self.guards),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "DtypeEvent":
-        return cls(
-            kind=str(d["kind"]),
-            what=str(d["what"]),
-            left=str(d.get("left", "")),
-            right=str(d.get("right", "")),
-            line=int(d["line"]),  # type: ignore[arg-type]
             guards=tuple(str(g) for g in d.get("guards", ())),  # type: ignore[union-attr]
         )
 
@@ -319,9 +277,7 @@ class FunctionSummary:
     ``params`` are the positional parameter names (``self``/``cls``
     excluded) in declaration order, aligned against call-site
     ``arg_classes`` by the dense-alloc pass; ``roles`` mark shape-scope
-    seeds (``"sparse-param"``, ``"sparse-class"``);
-    ``returns_dtype`` is the joined dtype atom of the function's return
-    expressions (``"unknown"`` when mixed or untracked).
+    seeds (``"sparse-param"``, ``"sparse-class"``).
     """
 
     qualname: str  # within the module: "f" or "Class.method"
@@ -334,11 +290,9 @@ class FunctionSummary:
     ships: List[ShipSite] = field(default_factory=list)
     merges: List[MergeSource] = field(default_factory=list)
     allocs: List[AllocSite] = field(default_factory=list)
-    dtype_events: List[DtypeEvent] = field(default_factory=list)
     sorts: List[SortEvent] = field(default_factory=list)
     params: List[str] = field(default_factory=list)
     roles: List[str] = field(default_factory=list)
-    returns_dtype: str = "unknown"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -352,11 +306,9 @@ class FunctionSummary:
             "ships": [s.to_dict() for s in self.ships],
             "merges": [m.to_dict() for m in self.merges],
             "allocs": [a.to_dict() for a in self.allocs],
-            "dtype_events": [e.to_dict() for e in self.dtype_events],
             "sorts": [s.to_dict() for s in self.sorts],
             "params": list(self.params),
             "roles": list(self.roles),
-            "returns_dtype": self.returns_dtype,
         }
 
     @classmethod
@@ -372,13 +324,9 @@ class FunctionSummary:
             ships=[ShipSite.from_dict(s) for s in d.get("ships", ())],  # type: ignore[union-attr]
             merges=[MergeSource.from_dict(m) for m in d.get("merges", ())],  # type: ignore[union-attr]
             allocs=[AllocSite.from_dict(a) for a in d.get("allocs", ())],  # type: ignore[union-attr]
-            dtype_events=[
-                DtypeEvent.from_dict(e) for e in d.get("dtype_events", ())  # type: ignore[union-attr]
-            ],
             sorts=[SortEvent.from_dict(s) for s in d.get("sorts", ())],  # type: ignore[union-attr]
             params=[str(p) for p in d.get("params", ())],  # type: ignore[union-attr]
             roles=[str(r) for r in d.get("roles", ())],  # type: ignore[union-attr]
-            returns_dtype=str(d.get("returns_dtype", "unknown")),
         )
 
 

@@ -14,7 +14,6 @@ from repro.analysis.rules.base import ImportMap, Rule, module_in
 from repro.analysis.rules.densify import NoMatrixDensifyRule
 from repro.analysis.rules.flow import (
     FlowDenseAllocRule,
-    FlowDtypePromotionRule,
     FlowNondetTaintRule,
     FlowParallelPurityRule,
     FlowRule,
@@ -44,7 +43,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     FlowSharedStateRaceRule,
     FlowUnorderedReductionRule,
     FlowDenseAllocRule,
-    FlowDtypePromotionRule,
     FlowUnstableOrderRule,
 )
 

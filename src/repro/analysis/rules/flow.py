@@ -83,17 +83,6 @@ class FlowDenseAllocRule(FlowRule):
     )
 
 
-class FlowDtypePromotionRule(FlowRule):
-    id: ClassVar[str] = "flow-dtype-promotion"
-    severity: ClassVar[Severity] = Severity.ERROR
-    description: ClassVar[str] = (
-        "whole-program (--flow): no implicit float32/float64 mix, int/int "
-        "true division, or Python-float sum() accumulation on a path from "
-        "the kernel region to an emit/serialization sink — a deliberate "
-        "cast needs a sanctioned inline directive"
-    )
-
-
 class FlowUnstableOrderRule(FlowRule):
     id: ClassVar[str] = "flow-unstable-order"
     severity: ClassVar[Severity] = Severity.ERROR
@@ -111,6 +100,5 @@ FLOW_RULES: Tuple[type, ...] = (
     FlowSharedStateRaceRule,
     FlowUnorderedReductionRule,
     FlowDenseAllocRule,
-    FlowDtypePromotionRule,
     FlowUnstableOrderRule,
 )

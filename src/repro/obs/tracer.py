@@ -2,6 +2,8 @@
 
 A :class:`Tracer` maintains a stack of open :class:`Span`\\ s; entering
 ``tracer.span("stage")`` nests a child under the innermost open span.
+The stack is a :class:`contextvars.ContextVar`, so each thread nests
+under its own open spans; a thread's first span is a child of the root.
 Spans carry two kinds of metrics:
 
 * **counters** — monotonically accumulated with :meth:`Span.count`
@@ -17,8 +19,9 @@ run is deterministic down to the byte.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.clock import Clock, NullClock
 from repro.obs.memory import MemoryMeter, NullMemoryMeter
@@ -98,24 +101,27 @@ class Tracer:
             memory if memory is not None else NullMemoryMeter()
         )
         self.root = Span(name=name, start=self.clock.now())
-        self._stack: List[Span] = [self.root]
+        self._stack: ContextVar[Tuple[Span, ...]] = ContextVar(
+            "repro.obs.tracer.stack", default=(self.root,)
+        )
 
     @property
     def current(self) -> Span:
-        """The innermost open span (the root when none is open)."""
-        return self._stack[-1]
+        """The innermost open span of this context (else the root)."""
+        return self._stack.get()[-1]
 
     @contextmanager
     def span(self, name: str) -> Iterator[Span]:
         """Open a child span of the current span for the ``with`` body."""
         span = Span(name=name, start=self.clock.now())
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
+        stack = self._stack.get()
+        stack[-1].children.append(span)
+        token = self._stack.set(stack + (span,))
         try:
             yield span
         finally:
             span.end = self.clock.now()
-            self._stack.pop()
+            self._stack.reset(token)
 
     def finish(self) -> Span:
         """Close the root span and return it (idempotent)."""

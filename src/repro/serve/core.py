@@ -28,8 +28,7 @@ The response cache is keyed by content hash of the canonical query plus
 the serving snapshot's content hash (see :mod:`repro.serve.cache`), so a
 :meth:`ServeCore.refresh` hot-swap can never replay an answer computed
 against the previous snapshot.  Hit/miss counters surface two ways: as
-``serve.*`` tracer spans when a tracer is injected (single-threaded use
-only — :class:`~repro.obs.Tracer` keeps a shared span stack), and via
+``serve.*`` tracer spans when a tracer is injected, and via
 :meth:`cache_info` (thread-safe).
 """
 

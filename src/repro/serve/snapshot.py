@@ -321,9 +321,19 @@ class MinedSnapshot:
 
     @classmethod
     def load(cls, path: str, verify: bool = True) -> "MinedSnapshot":
-        """Read and hash-verify a snapshot file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read(), verify=verify)
+        """Read and hash-verify a snapshot file.
+
+        A damaged file raises a :class:`SnapshotError` subclass, never a
+        decoding error: the bytes are decoded inside the same wrap as the
+        JSON parse.
+        """
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"snapshot is not valid UTF-8: {exc}") from exc
+        return cls.from_json(text, verify=verify)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -16,6 +16,10 @@ Routes (all responses are canonical JSON):
 * ``GET /campaign/<id>``      -> :meth:`ServeCore.campaign` (404 unknown)
 * ``GET /stats``              -> :meth:`ServeCore.stats`
 * ``GET /healthz``            -> liveness + snapshot hash
+
+Statuses: 200, 400 (malformed query or body), 404 (unknown route or
+campaign), 405 (wrong method) and 413 (a ``POST /classify`` whose declared
+``Content-Length`` exceeds :data:`MAX_BODY_BYTES`; the body is not read).
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ _STATUS = {
     400: "400 Bad Request",
     404: "404 Not Found",
     405: "405 Method Not Allowed",
+    413: "413 Payload Too Large",
 }
+
+#: Largest request body the app reads, in bytes. A longer declared body
+#: is answered with 413 unread; one WPN is well under a kilobyte.
+MAX_BODY_BYTES = 1 << 20
 
 
 def create_app(core: ServeCore) -> WsgiApp:
@@ -82,8 +91,14 @@ def _dispatch(
     if path == "/classify":
         if method != "POST":
             return 405, {"error": "use POST /classify with a JSON body"}
+        length = _content_length(environ)
+        if length > MAX_BODY_BYTES:
+            return 413, {
+                "error": f"body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            }
         try:
-            raw = _read_body(environ)
+            raw = _read_body(environ, length)
             wpn = json.loads(raw.decode("utf-8")) if raw else None
         except (ValueError, UnicodeDecodeError) as exc:
             return 400, {"error": f"invalid JSON body: {exc}"}
@@ -122,11 +137,14 @@ def _dispatch(
     }
 
 
-def _read_body(environ: Dict[str, Any]) -> bytes:
+def _content_length(environ: Dict[str, Any]) -> int:
     try:
-        length = int(environ.get("CONTENT_LENGTH") or 0)
+        return int(environ.get("CONTENT_LENGTH") or 0)
     except ValueError:
-        length = 0
+        return 0
+
+
+def _read_body(environ: Dict[str, Any], length: int) -> bytes:
     stream = environ.get("wsgi.input")
     if stream is None or length <= 0:
         return b""

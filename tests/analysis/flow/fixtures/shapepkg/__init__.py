@@ -1,3 +1,3 @@
-"""Fixture corpus for the shape/dtype passes (flow-dense-alloc,
-flow-dtype-promotion, flow-unstable-order): every detector fires once,
-every sanctioned pattern stays clean."""
+"""Fixture corpus for the shape passes (flow-dense-alloc,
+flow-unstable-order): every detector fires, every sanctioned pattern
+stays clean."""

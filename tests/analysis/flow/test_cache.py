@@ -164,15 +164,16 @@ def test_parallel_cold_build_is_byte_identical(tmp_path):
             )
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
-    # Regression for the v3 and v4 schema bumps: a cache whose entries
-    # carry version-2 summaries (written before the shape/dtype facts
-    # existed, so lacking allocs/dtype_events/sorts) or version-3
-    # summaries (which may still hold the dropped "densifier" role) has
-    # correct file hashes — the per-summary version gate must reject
-    # every entry even if the envelope (cache version + ruleset
-    # fingerprint) were somehow valid.
+    # Regression for the v3, v4 and v5 schema bumps: a cache whose
+    # entries carry version-2 summaries (written before the shape facts
+    # existed, so lacking allocs/sorts), version-3 summaries (which may
+    # still hold the dropped "densifier" role) or version-4 summaries
+    # (which still carry the dropped dtype facts) has correct file
+    # hashes — the per-summary version gate must reject every entry even
+    # if the envelope (cache version + ruleset fingerprint) were somehow
+    # valid.
     pkg = write_package(tmp_path, "cachepkg", PKG)
     cache_file = tmp_path / "cache.json"
     cache = SummaryCache(cache_file)
@@ -184,10 +185,13 @@ def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
         entry["summary"]["version"] = version
         for fn in entry["summary"].get("functions", {}).values():
             if version == 2:
-                for key in ("allocs", "dtype_events", "sorts", "params", "roles"):
+                for key in ("allocs", "sorts", "params", "roles"):
                     fn.pop(key, None)
-            else:
+            elif version == 3:
                 fn["roles"] = [*fn.get("roles", []), "densifier"]
+            else:
+                fn["dtype_events"] = []
+                fn["returns_dtype"] = "unknown"
     cache_file.write_text(json.dumps(payload))
 
     index = ProjectIndex.build([pkg], cache=SummaryCache(cache_file))
@@ -195,10 +199,10 @@ def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
     assert index.cached == 0
 
 
-def test_current_summary_version_is_v4():
+def test_current_summary_version_is_v5():
     from repro.analysis.flow.summary import SUMMARY_VERSION
 
-    assert SUMMARY_VERSION == 4
+    assert SUMMARY_VERSION == 5
 
 
 def test_changed_rule_description_invalidates_wholesale(tmp_path, monkeypatch):

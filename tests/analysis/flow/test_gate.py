@@ -1,8 +1,8 @@
-"""The tier-1 flow gate: ``src/repro`` is clean under all seven flow passes.
+"""The tier-1 flow gate: ``src/repro`` is clean under every flow pass.
 
 Companion to ``tests/analysis/test_gate.py`` (the per-file gate): the
-whole-program taint, purity, race, reduction, dense-allocation, dtype-
-promotion, and sort-stability passes must all report nothing on the real
+whole-program taint, purity, race, reduction, dense-allocation and
+sort-stability passes must all report nothing on the real
 tree, so neither nondeterminism nor a quadratic densification can hide
 behind a call hop — or behind the composition of two individually-clean
 kernels.
@@ -27,7 +27,7 @@ def test_src_repro_has_zero_flow_findings():
     )
 
 
-def test_gate_exercises_all_seven_passes():
+def test_gate_exercises_every_flow_pass():
     # The zero-findings gate only means something if every pass ran;
     # each flow rule id must be selected by default, including the race
     # and reduction passes.
@@ -37,7 +37,6 @@ def test_gate_exercises_all_seven_passes():
         "flow-shared-state-race",
         "flow-unordered-reduction",
         "flow-dense-alloc",
-        "flow-dtype-promotion",
         "flow-unstable-order",
     )
     result = run_flow([SRC])

@@ -92,6 +92,8 @@ class TestPinnedCrawl:
         assert _sha256(_dataset_bytes(serial_dataset)) == DATASET_SHA256
         assert _sha256(_stats_bytes(serial_dataset)) == STATS_SHA256
 
+    @pytest.mark.no_detsan  # counts browsers built; DetSan's tile
+    # verification reruns every crawl shard once more
     def test_only_prompting_sessions_build_a_browser(self, monkeypatch):
         import repro.crawler.session as session_module
 

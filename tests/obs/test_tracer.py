@@ -1,5 +1,9 @@
 """Tests for the span-tree tracer."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.obs import NullClock, PerfClock, Span, Tracer
@@ -99,3 +103,72 @@ class TestTracer:
             span.gauge("records", 7)
             span.count("retries")
         assert tracer.root.children[0].metrics == {"records": 7, "retries": 1}
+
+
+class TestThreads:
+    def test_interleaved_threads_nest_under_their_own_parents(self):
+        # Each step waits for the other thread, so both outer spans are
+        # open before either inner span opens, and both inner spans are
+        # open before either closes.
+        tracer = Tracer()
+        barrier = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def work(tag):
+            try:
+                with tracer.span(f"outer-{tag}"):
+                    barrier.wait()
+                    with tracer.span(f"inner-{tag}"):
+                        barrier.wait()
+                        assert tracer.current.name == f"inner-{tag}"
+                    barrier.wait()
+                    assert tracer.current.name == f"outer-{tag}"
+            except BaseException as exc:  # surfaced in the main thread
+                barrier.abort()
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert errors == []
+        assert sorted(c.name for c in tracer.root.children) == [
+            "outer-a",
+            "outer-b",
+        ]
+        for outer in tracer.root.children:
+            tag = outer.name[-1]
+            assert [c.name for c in outer.children] == [f"inner-{tag}"]
+            assert outer.end is not None
+        assert tracer.current is tracer.root
+
+    def test_many_threads_under_fast_switching_keep_their_nesting(self):
+        tracer = Tracer()
+        n_threads, rounds = 8, 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(tag):
+                for i in range(rounds):
+                    with tracer.span(f"{tag}.{i}"):
+                        time.sleep(0)  # yield the interpreter lock
+                        with tracer.span(f"{tag}.{i}.inner"):
+                            time.sleep(0)
+
+            threads = [
+                threading.Thread(target=work, args=(str(t),))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        outers = tracer.root.children
+        assert len(outers) == n_threads * rounds
+        for outer in outers:
+            assert [c.name for c in outer.children] == [f"{outer.name}.inner"]

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.serve import canonical_json, create_app
+from repro.serve.wsgi import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +110,40 @@ class TestRoutes:
     def test_content_length_header_is_exact(self, app):
         _, headers, text = call(app, "GET", "/stats")
         assert int(headers["Content-Length"]) == len(text.encode("utf-8"))
+
+
+class _UnreadableBody(io.RawIOBase):
+    """A ``wsgi.input`` that fails the test if anything reads it."""
+
+    def read(self, size=-1):
+        raise AssertionError("an oversized body must not be read")
+
+
+class TestBodyLimit:
+    def _post(self, app, length):
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/classify",
+            "QUERY_STRING": "",
+            "CONTENT_LENGTH": str(length),
+            "wsgi.input": _UnreadableBody(),
+        }
+        captured = {}
+
+        def start_response(status, headers):
+            captured["status"] = status
+
+        text = b"".join(app(environ, start_response)).decode("utf-8")
+        return captured["status"], json.loads(text)
+
+    def test_declared_body_over_the_limit_is_413_unread(self, app):
+        status, payload = self._post(app, MAX_BODY_BYTES + 1)
+        assert status == "413 Payload Too Large"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+
+    def test_body_at_the_limit_is_read(self, app, core):
+        body = json.dumps({"title": "t", "body": "b"}).encode("utf-8")
+        padded = body + b" " * (MAX_BODY_BYTES - len(body))
+        status, _, text = call(app, "POST", "/classify", body=padded)
+        assert status == "200 OK"
+        assert text == canonical_json(core.classify(json.loads(body))) + "\n"
