@@ -13,11 +13,11 @@ or programmatically::
     result = AnalysisEngine().run([Path("src/repro")])
     assert result.ok, result.findings
 
-The per-file rules are complemented by four *whole-program* passes
+The per-file rules are complemented by *whole-program* passes
 (``repro.analysis.flow``): cross-module nondeterminism taint,
 parallel-purity of callables shipped across the process boundary,
-shared-state races between concurrent parties, and unordered reductions
-reaching emit/stage boundaries. Run them with
+shared-state races between concurrent parties, quadratic dense
+allocations in the kernel region and tie-unstable sorts. Run them with
 ``python -m repro.analysis --flow`` or::
 
     from repro.analysis import run_flow

@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
             "also run the whole-program passes: cross-module "
             "nondeterminism taint (flow-nondet-taint), parallel purity "
             "(flow-parallel-purity), shared-state races "
-            "(flow-shared-state-race), unordered reductions "
-            "(flow-unordered-reduction), quadratic dense allocations "
+            "(flow-shared-state-race), quadratic dense allocations "
             "(flow-dense-alloc) and tie-unstable sorts "
             "(flow-unstable-order)"
         ),

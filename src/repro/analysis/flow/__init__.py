@@ -22,19 +22,15 @@ the interprocedural layer:
   (rule ``flow-shared-state-race``) — reports write-write and read-write
   conflicts on module-level state between concurrently-shipped kernels,
   and between a kernel and its orchestrator between submit and join;
-* :class:`~repro.analysis.flow.races.UnorderedReductionPass`
-  (rule ``flow-unordered-reduction``) — reports completion-order and
-  float-accumulation merges reaching an emit sink or ``stage_*``
-  boundary without a canonical sort;
 * :class:`~repro.analysis.flow.dense.DenseAllocPass`
   (rule ``flow-dense-alloc``) — tracks symbolic array extents through
   the :mod:`~repro.analysis.flow.shapes` abstract domain and certifies
   no function in the sparse/parallel kernel region allocates a dense
   array quadratic in the record count;
 * :class:`~repro.analysis.flow.ordering.UnstableOrderPass`
-  (rule ``flow-unstable-order``) — reports default-``kind`` argsorts,
-  single-key lexsorts, and float-keyed ``sorted()`` calls whose tie
-  order can reach a merge or emit sink.
+  (rule ``flow-unstable-order``) — reports default-``kind``
+  ``np.argsort``/``np.sort`` calls whose tie order can reach a merge or
+  emit sink.
 
 Run all of them via ``python -m repro.analysis --flow`` or
 :func:`run_flow`.
@@ -45,7 +41,7 @@ from repro.analysis.flow.dense import DenseAllocPass
 from repro.analysis.flow.index import CallGraph, ProjectIndex
 from repro.analysis.flow.ordering import UnstableOrderPass
 from repro.analysis.flow.purity import ParallelPurityPass
-from repro.analysis.flow.races import SharedStateRacePass, UnorderedReductionPass
+from repro.analysis.flow.races import SharedStateRacePass
 from repro.analysis.flow.run import FlowResult, run_flow
 from repro.analysis.flow.scope import KernelScope
 from repro.analysis.flow.summary import FunctionSummary, ModuleSummary
@@ -63,7 +59,6 @@ __all__ = [
     "ProjectIndex",
     "SharedStateRacePass",
     "SummaryCache",
-    "UnorderedReductionPass",
     "UnstableOrderPass",
     "ruleset_fingerprint",
     "run_flow",

@@ -25,7 +25,6 @@ from repro.analysis.flow.summary import (
     CallSite,
     ClassSummary,
     FunctionSummary,
-    MergeSource,
     ModuleSummary,
     ShipSite,
     StateRead,
@@ -65,10 +64,6 @@ _MUTATOR_METHODS = frozenset(
 
 # Methods that ship their first positional argument into worker processes.
 _SHIP_METHODS = frozenset({"stream", "run", "submit"})
-
-# Pool-result iterators that yield in completion order, not submission order.
-_COMPLETION_ORDER_CALLS = frozenset({"concurrent.futures.as_completed"})
-_COMPLETION_ORDER_METHODS = frozenset({"imap_unordered"})
 
 _RNG_RULE = NoUnseededRngRule()
 
@@ -112,6 +107,7 @@ class _ModuleExtractor:
                     summary.getattr_forward = self._getattr_forward(node)
             elif isinstance(node, ast.ClassDef):
                 cls = ClassSummary(name=node.name, line=node.lineno)
+                attr_types = self._init_attr_types(node)
                 for base in node.bases:
                     ref = self._ref_of_expr(base, local=_EMPTY_LOCAL)
                     if ref is not None:
@@ -119,10 +115,42 @@ class _ModuleExtractor:
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         cls.methods.append(item.name)
-                        fn = self._extract_function(item, class_name=node.name)
+                        fn = self._extract_function(
+                            item, class_name=node.name, attr_types=attr_types
+                        )
                         summary.functions[fn.qualname] = fn
                 summary.classes[node.name] = cls
         return summary
+
+    def _init_attr_types(self, cls: ast.ClassDef) -> Dict[str, str]:
+        """``self.<attr>`` -> class, for ``self.<attr> = Class(...)`` in
+        ``__init__`` (what lets ``self._plan.run(...)`` count as a ship)."""
+        types: Dict[str, str] = {}
+        for item in cls.body:
+            if not (
+                isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            ):
+                continue
+            local = _LocalScope.of(item, cls.name)
+            for inner in ast.walk(item):
+                if not (
+                    isinstance(inner, ast.Assign)
+                    and len(inner.targets) == 1
+                    and isinstance(inner.value, ast.Call)
+                ):
+                    continue
+                target = inner.targets[0]
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    ref = self._ref_of_expr(
+                        inner.value.func, local, infer=False
+                    )
+                    if ref is not None:
+                        types[target.attr] = ref
+        return types
 
     def _collect_imports(self, tree: ast.Module) -> None:
         """Local name -> absolute dotted origin, relative imports included."""
@@ -205,7 +233,10 @@ class _ModuleExtractor:
     # Function level
     # ------------------------------------------------------------------
     def _extract_function(
-        self, node: ast.FunctionDef, class_name: Optional[str]
+        self,
+        node: ast.FunctionDef,
+        class_name: Optional[str],
+        attr_types: Optional[Dict[str, str]] = None,
     ) -> FunctionSummary:
         qualname = f"{class_name}.{node.name}" if class_name else node.name
         fn = FunctionSummary(
@@ -214,6 +245,7 @@ class _ModuleExtractor:
             line_text=self.src.line_text(node.lineno),
         )
         local = _LocalScope.of(node, class_name)
+        local.attr_types = attr_types or {}
         self._infer_types(node, local)
         shapes = ShapeExtractor(self, node, local)
         fn.roles = function_roles(node, class_name, self._annotation_class)
@@ -232,7 +264,6 @@ class _ModuleExtractor:
                 )
                 self._record_ship(fn, inner, local)
                 self._record_mutation(fn, inner, local)
-                self._record_merge(fn, inner, local)
             elif isinstance(inner, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._record_write(fn, inner, local)
             elif isinstance(inner, (ast.Name, ast.Attribute)):
@@ -473,64 +504,6 @@ class _ModuleExtractor:
         seen.add((name, attr))
         fn.reads.append(StateRead(name=name, line=node.lineno, attr=attr))
 
-    # -- order-sensitive merges -----------------------------------------
-    def _record_merge(
-        self, fn: FunctionSummary, call: ast.Call, local: "_LocalScope"
-    ) -> None:
-        """Reductions whose result depends on an unordered iteration.
-
-        ``kind="completion-order"``: pool results consumed as they finish
-        (``as_completed``, ``imap_unordered``). ``kind="float-accum"``:
-        builtin ``sum`` over a set expression, where float rounding makes
-        the total depend on hash-iteration order (``math.fsum`` is exact
-        and therefore sanctioned). Both escape via an immediate
-        ``sorted(...)`` wrap, same as filesystem enumeration.
-        """
-        func = call.func
-        ref = self._ref_of_expr(func, local)
-        if ref in _COMPLETION_ORDER_CALLS and not self._order_safe(call):
-            fn.merges.append(
-                MergeSource(kind="completion-order", what=ref, line=call.lineno)
-            )
-            return
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _COMPLETION_ORDER_METHODS
-            and not self._order_safe(call)
-        ):
-            fn.merges.append(
-                MergeSource(
-                    kind="completion-order",
-                    what=f".{func.attr}",
-                    line=call.lineno,
-                )
-            )
-            return
-        if (
-            isinstance(func, ast.Name)
-            and func.id == "sum"
-            and not local.binds("sum")
-            and "sum" not in self.imports
-            and "sum" not in self.module_defs
-            and call.args
-            and self._unordered_operand(call.args[0], local)
-        ):
-            fn.merges.append(
-                MergeSource(
-                    kind="float-accum", what="sum(set)", line=call.lineno
-                )
-            )
-
-    def _unordered_operand(self, arg: ast.expr, local: "_LocalScope") -> bool:
-        """True for set literals/comprehensions and set()/frozenset() calls."""
-        if isinstance(arg, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
-            return arg.func.id in ("set", "frozenset") and not local.binds(
-                arg.func.id
-            )
-        return False
-
     # -- ship sites -----------------------------------------------------
     def _record_ship(
         self, fn: FunctionSummary, call: ast.Call, local: "_LocalScope"
@@ -571,6 +544,12 @@ class _ModuleExtractor:
             # ExecutionPlan(...).stream(...) — receiver is the constructed
             # class itself.
             return self._ref_of_expr(expr.func, local)
+        if (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+        ):
+            return local.attr_types.get(expr.attr)
         return None
 
     def _shipped_arg(
@@ -746,6 +725,7 @@ class _LocalScope:
         self.nested_defs: Set[str] = set()
         self.var_types: Dict[str, str] = {}
         self.aliases: Dict[str, str] = {}
+        self.attr_types: Dict[str, str] = {}  # self.<attr> -> class
 
     def binds(self, name: str) -> bool:
         return name in self.names

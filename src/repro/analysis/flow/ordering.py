@@ -2,16 +2,11 @@
 
 Distances, scores, and heights are floats; ties among them are common
 (duplicate records, symmetric pairs) and *which* of the tied elements
-sorts first is exactly where run-to-run divergence hides. Three shapes
-are unstable under ties:
-
-* ``np.argsort``/``np.sort`` with the default ``kind`` — introsort, not
-  stable; equal keys permute with memory layout;
-* single-key ``np.lexsort`` — lexsort is stable per key, but with one
-  float key there is no tiebreaker column at all;
-* ``sorted()``/``.sort()`` with a float-valued ``key=lambda`` — stable
-  only in input order, which is itself unstable when the input came from
-  a hash-ordered or parallel-merged collection.
+sorts first is exactly where run-to-run divergence hides. The one
+shape unstable under ties is ``np.argsort``/``np.sort`` with the
+default ``kind`` — introsort, whose equal keys permute with memory
+layout. ``np.lexsort`` and ``sorted()``/``.sort()`` are stable: ties
+keep input order, so they reorder nothing that was reproducible.
 
 The extractor records these per function; this pass reports each one
 **at the sink** (emit/serialization functions and pipeline stages, the
@@ -33,20 +28,7 @@ from repro.analysis.flow.taint import FlowFinding, _is_sink
 
 RULE_ID = "flow-unstable-order"
 
-_ADVICE = {
-    "unstable-argsort": (
-        'default-kind sort is not stable under float ties; pass '
-        'kind="stable"'
-    ),
-    "single-key-lexsort": (
-        "single-key lexsort has no tiebreaker; add a deterministic "
-        "secondary key column"
-    ),
-    "float-keyed-sort": (
-        "float-keyed sort permutes ties with input order; extend the key "
-        "to a total-order tuple"
-    ),
-}
+_ADVICE = 'default-kind sort is not stable under float ties; pass kind="stable"'
 
 
 class UnstableOrderPass:
@@ -122,7 +104,7 @@ class UnstableOrderPass:
         hops = len(path) - 1
         message = (
             f"{category} '{sink[0]}.{sink[1]}' transitively reaches "
-            f"{sort.kind} {sort.what} at {sort_loc} — {_ADVICE[sort.kind]} "
+            f"{sort.kind} {sort.what} at {sort_loc} — {_ADVICE} "
             f"({hops} call hop(s); --explain prints the chain)"
         )
         summary = self.index.modules[sink[0]]

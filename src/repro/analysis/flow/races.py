@@ -1,33 +1,15 @@
-"""The shared-state race passes (``flow-shared-state-race``,
-``flow-unordered-reduction``).
+"""The shared-state race pass (``flow-shared-state-race``).
 
 ``flow-parallel-purity`` proves each shipped kernel is individually pure;
-these passes check the *composition*. ``SharedStateRacePass`` looks at
+this pass checks the *composition*. ``SharedStateRacePass`` looks at
 every ship group (all callables shipped from one orchestrating function)
 and reports module-level locations where two distinct parties — two
 concurrently-shipped kernels, or a kernel and the orchestrator between
 submit and join — access the same canonical location with at least one
 write: a write-write or read-write race under any shared-memory execution
-of the plan. ``UnorderedReductionPass`` walks the same sink set as the
-taint pass and reports order-sensitive reductions (results consumed via
-``as_completed``/``imap_unordered``, float ``sum`` over set expressions)
-reaching an emit/serialization sink or a ``stage_*`` boundary without a
-canonical sort.
-
-Sanctioned merge patterns produce no finding by construction:
-
-* tile-index merge — gathering pool results in submission order (what
-  ``ExecutionPlan.stream`` does) never yields a completion-order source;
-* URL-sorted jobs — ``sorted(...)`` wrapped directly around the
-  enumeration (``CrawlEngine._second_wave_jobs``) escapes via the same
-  ``_order_safe`` check as filesystem enumeration;
-* exact accumulation — ``math.fsum`` and ``np.add.reduceat`` are not
-  matched (only builtin ``sum`` over a set expression is).
-
-Race findings are reported at the **ship site** and suppressed by an
-inline ``# pushlint: disable=flow-shared-state-race`` there; reduction
-findings are sink-oriented like the taint pass, with the merge line
-itself accepting a sanctioning directive.
+of the plan. Race findings are reported at the **ship site** and
+suppressed by an inline ``# pushlint: disable=flow-shared-state-race``
+there.
 """
 
 from __future__ import annotations
@@ -42,10 +24,9 @@ from repro.analysis.flow.index import (
     ProjectIndex,
     ShippedCallable,
 )
-from repro.analysis.flow.taint import FlowFinding, _is_sink
+from repro.analysis.flow.taint import FlowFinding
 
 RACE_RULE_ID = "flow-shared-state-race"
-REDUCTION_RULE_ID = "flow-unordered-reduction"
 
 #: Canonical location of module-level state: ``(owning module, name)``.
 #: ``name`` may be ``"*"`` when a write through a module alias could not
@@ -327,77 +308,3 @@ class SharedStateRacePass:
             f"{verb} {access.loc[0]}.{access.loc[1]} "
             f"({access.how}) ({module.path}:{access.line})"
         )
-
-
-class UnorderedReductionPass:
-    """Report order-sensitive merges reaching emit/stage sinks."""
-
-    def __init__(self, index: ProjectIndex, graph: Optional[CallGraph] = None):
-        self.index = index
-        self.graph = graph if graph is not None else index.callgraph()
-
-    def sinks(self) -> List[Tuple[FuncKey, str]]:
-        out: List[Tuple[FuncKey, str]] = []
-        for module, fn in self.index.all_functions():
-            category = _is_sink(fn.qualname)
-            if category is not None:
-                out.append(((module, fn.qualname), category))
-        return out
-
-    def run(self) -> List[FlowFinding]:
-        findings: List[FlowFinding] = []
-        for sink, category in self.sinks():
-            findings.extend(self._check_sink(sink, category))
-        return sorted(findings, key=lambda ff: ff.finding)
-
-    # ------------------------------------------------------------------
-    def _check_sink(self, sink: FuncKey, category: str) -> List[FlowFinding]:
-        sink_summary = self.index.modules[sink[0]]
-        sink_fn = sink_summary.functions[sink[1]]
-        paths = self.graph.bfs_paths(sink)
-
-        out: List[FlowFinding] = []
-        seen: set = set()
-        for reached in sorted(paths):
-            fn = self.index.function(reached)
-            if fn is None:
-                continue
-            module = self.index.modules[reached[0]]
-            for merge in fn.merges:
-                if module.suppressions.is_suppressed(
-                    REDUCTION_RULE_ID, merge.line
-                ):
-                    continue
-                identity = (reached, merge.kind, merge.what, merge.line)
-                if identity in seen:
-                    continue
-                seen.add(identity)
-                merge_loc = f"{module.path}:{merge.line}"
-                chain = tuple(
-                    [self.index.describe(key) for key in paths[reached]]
-                    + [f"{merge.kind} merge {merge.what} ({merge_loc})"]
-                )
-                hops = len(paths[reached]) - 1
-                message = (
-                    f"{category} '{sink[0]}.{sink[1]}' merges results in "
-                    f"{merge.kind} order via {merge.what} at {merge_loc} "
-                    f"with no canonical sort before the boundary "
-                    f"({hops} call hop(s); --explain prints the chain)"
-                )
-                finding = Finding(
-                    path=sink_summary.path,
-                    line=sink_fn.line,
-                    column=1,
-                    rule_id=REDUCTION_RULE_ID,
-                    severity=Severity.ERROR,
-                    message=message,
-                    source_line=sink_fn.line_text,
-                    chain=chain,
-                )
-                suppressed = sink_summary.suppressions.is_suppressed(
-                    REDUCTION_RULE_ID, sink_fn.line
-                )
-                out.append(
-                    FlowFinding(finding=finding, suppressed=suppressed)
-                )
-        return out

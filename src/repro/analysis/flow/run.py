@@ -12,7 +12,7 @@ from repro.analysis.flow.dense import DenseAllocPass
 from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.ordering import UnstableOrderPass
 from repro.analysis.flow.purity import ParallelPurityPass
-from repro.analysis.flow.races import SharedStateRacePass, UnorderedReductionPass
+from repro.analysis.flow.races import SharedStateRacePass
 from repro.analysis.flow.taint import FlowFinding, NondetTaintPass
 from repro.analysis.rules import FLOW_RULE_IDS
 
@@ -59,8 +59,6 @@ def run_flow(
         collected.extend(ParallelPurityPass(index, graph).run())
     if "flow-shared-state-race" in rule_ids:
         collected.extend(SharedStateRacePass(index, graph).run())
-    if "flow-unordered-reduction" in rule_ids:
-        collected.extend(UnorderedReductionPass(index, graph).run())
     if "flow-dense-alloc" in rule_ids:
         collected.extend(DenseAllocPass(index, graph).run())
     if "flow-unstable-order" in rule_ids:

@@ -50,12 +50,6 @@ from repro.analysis.flow.summary import AllocSite, SortEvent
 #: Names conventionally holding a record count (the ``n`` of Theta(n^2)).
 BIG_NAME_RE = re.compile(r"^(n|m|n_[a-z0-9_]+|num_[a-z0-9_]+)$")
 
-#: Names conventionally holding float quantities (sort-key heuristics).
-FLOATY_NAME_RE = re.compile(
-    r"(score|weight|height|dist|cost|silhouette|ratio|frac|prob|latency)",
-    re.IGNORECASE,
-)
-
 #: Pipeline knobs whose comparisons become path-condition atoms.
 KNOB_NAMES = frozenset({"storage", "precision", "blocking"})
 
@@ -579,24 +573,6 @@ class ShapeExtractor:
             return None
         return self._vector_extent(expr.value)
 
-    def _floaty(self, expr: ast.expr) -> bool:
-        for inner in ast.walk(expr):
-            if isinstance(inner, ast.Name) and FLOATY_NAME_RE.search(inner.id):
-                return True
-            if isinstance(inner, ast.Attribute) and FLOATY_NAME_RE.search(
-                inner.attr
-            ):
-                return True
-            if (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Name)
-                and inner.func.id == "float"
-            ):
-                return True
-            if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Div):
-                return True
-        return False
-
     def _collect_sort(self, fn, call: ast.Call) -> None:
         func = call.func
         ref = self.owner._ref_of_expr(func, self.local)
@@ -617,43 +593,7 @@ class ShapeExtractor:
                         line=call.lineno,
                     )
                 )
-            return
-        if ref == "numpy.lexsort" and call.args:
-            keys = call.args[0]
-            if isinstance(keys, (ast.Tuple, ast.List)) and len(keys.elts) == 1:
-                fn.sorts.append(
-                    SortEvent(
-                        kind="single-key-lexsort",
-                        what="numpy.lexsort",
-                        line=call.lineno,
-                    )
-                )
-            return
-        is_sorted = (
-            isinstance(func, ast.Name)
-            and func.id == "sorted"
-            and not self.local.binds("sorted")
-        )
-        is_list_sort = isinstance(func, ast.Attribute) and func.attr == "sort"
-        if not (is_sorted or is_list_sort):
-            return
-        for kw in call.keywords:
-            if kw.arg == "key" and isinstance(kw.value, ast.Lambda):
-                body = kw.value.body
-                if isinstance(body, ast.Tuple):
-                    return  # composite key: assumed to carry a tiebreak
-                if self._floaty(body):
-                    fn.sorts.append(
-                        SortEvent(
-                            kind="float-keyed-sort",
-                            what=(
-                                f"{'sorted' if is_sorted else '.sort'}"
-                                f"(key=...{_display(body, limit=20)})"
-                            ),
-                            line=call.lineno,
-                        )
-                    )
-                return
+
 
 def function_roles(
     fn_node: ast.AST, class_name: Optional[str], annotation_class

@@ -22,8 +22,10 @@ from repro.analysis.suppress import Suppressions
 #: v3 added the symbolic shape facts (allocs, sort events, call guards
 #: and argument extent classes) for the :mod:`repro.analysis.flow.shapes`
 #: passes; v4 dropped the ``"densifier"`` kernel-region role; v5 dropped
-#: the dtype facts (``dtype_events``, ``returns_dtype``).
-SUMMARY_VERSION = 5
+#: the dtype facts (``dtype_events``, ``returns_dtype``); v6 dropped the
+#: order-sensitive merges (``merges``) and the stable-sort events, and
+#: types ``self.<attr>`` ship receivers from ``__init__``.
+SUMMARY_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,12 @@ class AllocSite:
 class SortEvent:
     """One sort whose tie order is not reproducible.
 
-    ``kind`` is ``"unstable-argsort"`` (default-``kind`` ``np.argsort``/
-    ``np.sort``), ``"single-key-lexsort"`` (``np.lexsort`` with one key —
-    ties keep input order with no secondary key), or
-    ``"float-keyed-sort"`` (``sorted()``/``.sort()`` keyed on a float
-    with no total tiebreak).
+    ``kind`` is ``"unstable-argsort"``: a default-``kind`` ``np.argsort``/
+    ``np.sort``, whose ties permute with memory layout.
     """
 
     kind: str
-    what: str  # display form, e.g. "numpy.argsort", "sorted(key=....score)"
+    what: str  # display form: "numpy.argsort", "numpy.sort", ".argsort"
     line: int
 
     def to_dict(self) -> Dict[str, object]:
@@ -206,31 +205,6 @@ class StateRead:
 
 
 @dataclass(frozen=True)
-class MergeSource:
-    """An order-sensitive reduction observed in a function body.
-
-    ``kind`` is ``"completion-order"`` for results consumed in pool
-    completion order (``concurrent.futures.as_completed``,
-    ``imap_unordered``) or ``"float-accum"`` for accumulation over an
-    unordered container (``sum`` of a set expression), where float
-    rounding makes the total order-dependent.
-    """
-
-    kind: str  # "completion-order" | "float-accum"
-    what: str  # e.g. "concurrent.futures.as_completed", "sum(set)"
-    line: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "what": self.what, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "MergeSource":
-        return cls(
-            kind=str(d["kind"]), what=str(d["what"]), line=int(d["line"])  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
 class ShipSite:
     """A call site that ships a callable across the process boundary.
 
@@ -288,7 +262,6 @@ class FunctionSummary:
     writes: List[StateWrite] = field(default_factory=list)
     reads: List[StateRead] = field(default_factory=list)
     ships: List[ShipSite] = field(default_factory=list)
-    merges: List[MergeSource] = field(default_factory=list)
     allocs: List[AllocSite] = field(default_factory=list)
     sorts: List[SortEvent] = field(default_factory=list)
     params: List[str] = field(default_factory=list)
@@ -304,7 +277,6 @@ class FunctionSummary:
             "writes": [w.to_dict() for w in self.writes],
             "reads": [r.to_dict() for r in self.reads],
             "ships": [s.to_dict() for s in self.ships],
-            "merges": [m.to_dict() for m in self.merges],
             "allocs": [a.to_dict() for a in self.allocs],
             "sorts": [s.to_dict() for s in self.sorts],
             "params": list(self.params),
@@ -322,7 +294,6 @@ class FunctionSummary:
             writes=[StateWrite.from_dict(w) for w in d.get("writes", ())],  # type: ignore[union-attr]
             reads=[StateRead.from_dict(r) for r in d.get("reads", ())],  # type: ignore[union-attr]
             ships=[ShipSite.from_dict(s) for s in d.get("ships", ())],  # type: ignore[union-attr]
-            merges=[MergeSource.from_dict(m) for m in d.get("merges", ())],  # type: ignore[union-attr]
             allocs=[AllocSite.from_dict(a) for a in d.get("allocs", ())],  # type: ignore[union-attr]
             sorts=[SortEvent.from_dict(s) for s in d.get("sorts", ())],  # type: ignore[union-attr]
             params=[str(p) for p in d.get("params", ())],  # type: ignore[union-attr]

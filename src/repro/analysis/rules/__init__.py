@@ -18,7 +18,6 @@ from repro.analysis.rules.flow import (
     FlowParallelPurityRule,
     FlowRule,
     FlowSharedStateRaceRule,
-    FlowUnorderedReductionRule,
     FlowUnstableOrderRule,
 )
 from repro.analysis.rules.hygiene import NoBareExceptRule, NoMutableDefaultRule
@@ -41,7 +40,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     FlowNondetTaintRule,
     FlowParallelPurityRule,
     FlowSharedStateRaceRule,
-    FlowUnorderedReductionRule,
     FlowDenseAllocRule,
     FlowUnstableOrderRule,
 )

@@ -60,17 +60,6 @@ class FlowSharedStateRaceRule(FlowRule):
     )
 
 
-class FlowUnorderedReductionRule(FlowRule):
-    id: ClassVar[str] = "flow-unordered-reduction"
-    severity: ClassVar[Severity] = Severity.ERROR
-    description: ClassVar[str] = (
-        "whole-program (--flow): results merged in completion order "
-        "(as_completed, imap_unordered) or accumulated over an unordered "
-        "container (sum over a set) must not reach an emit/serialization "
-        "sink or stage_* boundary without a canonical sort"
-    )
-
-
 class FlowDenseAllocRule(FlowRule):
     id: ClassVar[str] = "flow-dense-alloc"
     severity: ClassVar[Severity] = Severity.ERROR
@@ -87,10 +76,9 @@ class FlowUnstableOrderRule(FlowRule):
     id: ClassVar[str] = "flow-unstable-order"
     severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
-        "whole-program (--flow): no default-kind np.argsort/np.sort, "
-        "single-key np.lexsort, or float-keyed sorted() whose tie order "
-        "can reach a merge or emit sink — pass kind=\"stable\" or extend "
-        "the key to a total order"
+        "whole-program (--flow): no default-kind np.argsort/np.sort "
+        "whose tie order can reach a merge or emit sink — pass "
+        "kind=\"stable\""
     )
 
 
@@ -98,7 +86,6 @@ FLOW_RULES: Tuple[type, ...] = (
     FlowNondetTaintRule,
     FlowParallelPurityRule,
     FlowSharedStateRaceRule,
-    FlowUnorderedReductionRule,
     FlowDenseAllocRule,
     FlowUnstableOrderRule,
 )

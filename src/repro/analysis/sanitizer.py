@@ -1,8 +1,8 @@
 """DetSan: runtime determinism sanitizer cross-validating the flow passes.
 
 The whole-program passes (``flow-parallel-purity``,
-``flow-shared-state-race``, ``flow-unordered-reduction``) statically prove
-that no output depends on scheduling or enumeration order. DetSan checks
+``flow-shared-state-race``) statically prove that no output depends on
+scheduling or enumeration order. DetSan checks
 the same claim *dynamically*: while installed it
 
 * shuffles every filesystem enumeration (``os.listdir``, ``glob``,

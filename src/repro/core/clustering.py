@@ -139,7 +139,7 @@ class Linkage:
 
 
 class AgglomerativeClusterer:
-    """Agglomerative clustering by canonical global-minimum merging.
+    """Average-linkage agglomeration by canonical global-minimum merging.
 
     Every step merges the globally closest active pair; ties break toward
     the lowest row slot, then the lowest column in that row (merged
@@ -149,18 +149,13 @@ class AgglomerativeClusterer:
     the sparse graph can prove no unknown pair is closer.
     """
 
-    def __init__(self, linkage_method: str = "average"):
-        if linkage_method not in ("average", "complete", "single"):
-            raise ValueError(f"unsupported linkage: {linkage_method!r}")
-        self.linkage_method = linkage_method
-
     def fit(self, distances: Union[np.ndarray, SparsePairwise]) -> Linkage:
         """Build the dendrogram from a pairwise distance matrix.
 
-        Accepts a symmetric square matrix or a candidate-sparse
-        :class:`~repro.perf.SparsePairwise` graph.  The square works on a
-        fresh float64 copy; the sparse form runs the certified
-        sparse-graph Lance-Williams path (average linkage only) and
+        Accepts a symmetric square matrix of finite distances or a
+        candidate-sparse :class:`~repro.perf.SparsePairwise` graph.  The
+        square runs :func:`_average_linkage` uncapped on a fresh float64
+        copy; the sparse form runs the certified sparse-graph path and
         records its exactness certificate on the returned
         :class:`Linkage`.
         """
@@ -169,78 +164,27 @@ class AgglomerativeClusterer:
         if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
             raise ValueError("distance matrix must be square")
         n = distances.shape[0]
-        work = distances.astype(np.float64, copy=True)
         if n <= 1:
             return Linkage(n, [])
+        work = distances.astype(np.float64, copy=True)
         np.fill_diagonal(work, np.inf)
-        active = np.ones(n, dtype=bool)
-        sizes = np.ones(n, dtype=np.float64)
-        cluster_id = list(range(n))
-        next_id = n
+        triples, _, _ = _average_linkage(work, float("inf"))
+        if len(triples) < n - 1:
+            # Only an inf or NaN height stops the uncapped loop early.
+            raise ValueError("distance matrix must be finite")
+        # Relabel slot pairs into cluster ids: merge i creates id n+i and
+        # takes over the lower slot a.
+        ids = list(range(n))
+        sizes = [1] * n
         merges: List[Merge] = []
-
-        # Per-row nearest-neighbor cache: row_min[r] = min(work[r]) and
-        # row_arg[r] = the LOWEST column achieving it (np.argmin returns
-        # the first occurrence).  Lance-Williams updates can only raise
-        # entries of other rows (the merged value lies between its two
-        # parents for all three methods), so after a merge only rows
-        # whose cached argmin pointed at a dead/changed slot need a full
-        # rescan; the rest need at most a tie-to-lower-column fix.
-        row_min = work.min(axis=1)
-        row_arg = np.argmin(work, axis=1)
-
-        while len(merges) < n - 1:
-            masked = np.where(active, row_min, np.inf)
-            a = int(np.argmin(masked))
-            b = int(row_arg[a])
-            # b > a always: if work[a, c] == gmin for c < a then row c
-            # would have achieved the global min first (symmetry).
-            height = float(work[a, b])
-            merged_size = int(sizes[a] + sizes[b])
+        for height, a, b in triples:
+            new_id = n + len(merges)
             merges.append(
-                Merge(cluster_id[a], cluster_id[b], height, merged_size, next_id)
+                Merge(ids[a], ids[b], height, sizes[a] + sizes[b], new_id)
             )
-            new_row = self._lance_williams(work, a, b, sizes)
-            work[a, :] = new_row
-            work[:, a] = new_row
-            work[a, a] = np.inf
-            sizes[a] = sizes[a] + sizes[b]
-            active[b] = False
-            work[b, :] = np.inf
-            work[:, b] = np.inf
-            cluster_id[a] = next_id
-            next_id += 1
-
-            row_min[a] = new_row.min()
-            row_arg[a] = int(np.argmin(new_row))
-            rescan = active & ((row_arg == a) | (row_arg == b))
-            rescan[a] = False
-            for r in np.flatnonzero(rescan):
-                row_min[r] = work[r].min()
-                row_arg[r] = int(np.argmin(work[r]))
-            # Rows keeping their min may still owe the canonical
-            # tie-break to the rewritten column a.
-            tie = active & ~rescan & (work[:, a] == row_min) & (row_arg > a)
-            tie[a] = False
-            row_arg[tie] = a
+            ids[a] = new_id
+            sizes[a] += sizes[b]
         return Linkage(n, merges)
-
-    def _lance_williams(
-        self, work: np.ndarray, a: int, b: int, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Distance of the (a+b) merge to every other cluster."""
-        row_a, row_b = work[a], work[b]
-        if self.linkage_method == "average":
-            total = sizes[a] + sizes[b]
-            merged = (sizes[a] * row_a + sizes[b] * row_b) / total
-        elif self.linkage_method == "complete":
-            merged = np.maximum(row_a, row_b)
-        else:  # single
-            merged = np.minimum(row_a, row_b)
-        # All three branches allocate a fresh array, safe to patch in place.
-        merged[a] = np.inf
-        merged[b] = np.inf
-        return merged
 
     def _fit_sparse(self, graph: SparsePairwise) -> Linkage:
         """Certified sparse-graph agglomeration over candidate entries.
@@ -267,10 +211,6 @@ class AgglomerativeClusterer:
         ``height_floor``; the remaining clusters fold into canonical
         placeholder merges at height 1.0.
         """
-        if self.linkage_method != "average":
-            raise ValueError(
-                "sparse candidate graphs support average linkage only"
-            )
         n = graph.n
         if n <= 1:
             return Linkage(n, [], exact_merges=0, height_floor=float("inf"))
@@ -343,9 +283,10 @@ class AgglomerativeClusterer:
             work[lj, li] = e_val[s:t]
             if t - s == m * (m - 1) // 2:
                 # Every internal pair is stored: no internal lower
-                # bounds ever arise, so the lean loop (values only)
-                # replays the full loop's exact selection sequence.
-                runs.append(_component_linkage_known(work, cap))
+                # bounds ever arise, so the dense fit's loop (values
+                # only) replays the certified loop's exact selection
+                # sequence.
+                runs.append(_average_linkage(work, cap))
                 continue
             # Same component-bounded budget as `work` above.
             known = np.zeros((m, m))  # pushlint: disable=flow-dense-alloc
@@ -575,22 +516,28 @@ def _component_linkage(
     return merges, bounds, end_bound
 
 
-def _component_linkage_known(
+def _average_linkage(
     work: np.ndarray, cap: float
 ) -> Tuple[List[Tuple[float, int, int]], List[float], float]:
-    """:func:`_component_linkage` for a fully-known component.
+    """Canonical global-minimum average linkage over a fully-known square.
 
-    With every internal pair stored there are no internal lower bounds
-    (the bound matrix stays ``inf`` throughout), so the certified
-    sequence only checks heights against ``cap``.  Dropping the bound
-    bookkeeping roughly halves the per-merge work; every remaining
-    scalar operation — selection, tie-breaks, the fused Lance-Williams
-    update, cache maintenance — is the full loop's exact sequence, so
-    the merge triples are identical.
+    ``work`` holds every pairwise value with ``inf`` on the diagonal and
+    is consumed in place.  The dense fit runs it with ``cap=inf``; the
+    sparse fit runs it for every component whose internal pairs are all
+    stored, where there are no internal lower bounds and the only check
+    is each height against ``cap``.  Returns :func:`_component_linkage`'s
+    ``(merges, bounds, end_bound)``: selection, tie-breaks, the fused
+    Lance-Williams update and cache maintenance are that loop's exact
+    scalar sequence, so both produce the same merge triples.
     """
     m = work.shape[0]
     sizes = np.ones(m)
     active = np.ones(m, dtype=bool)
+    # Per-row nearest-neighbour cache: row_min[r] = min(work[r]) and
+    # row_arg[r] = the LOWEST column achieving it (np.argmin returns the
+    # first occurrence).  A fused value lies between its two parents, so
+    # after a merge only rows whose cached argmin pointed at a or b need
+    # a full rescan; the rest owe at most the tie-break to column a.
     row_min = work.min(axis=1)
     row_arg = np.argmin(work, axis=1)
 
@@ -599,8 +546,9 @@ def _component_linkage_known(
     inf = float("inf")
     n_active = m
     while n_active > 1:
-        # Dead rows carry inf in row_min, so the raw argmin matches the
-        # full loop's masked selection (ties toward the lowest slot).
+        # Dead rows carry inf in row_min, so the raw argmin is the masked
+        # selection (ties toward the lowest slot).  b > a always: a pair
+        # (a, c) at the minimum with c < a would put row c first.
         a = int(np.argmin(row_min))
         gmin = float(row_min[a])
         if not gmin < cap - EXACTNESS_MARGIN:
@@ -1038,15 +986,14 @@ def select_cut(
 
 def cluster_records(
     distances: np.ndarray,
-    linkage_method: str = "average",
+    *,
     threshold: Optional[float] = None,
 ) -> Tuple[np.ndarray, Linkage, float, float]:
     """One-call clustering: dendrogram + (selected or given) cut.
 
     Returns ``(labels, linkage, threshold, silhouette_score)``.
     """
-    clusterer = AgglomerativeClusterer(linkage_method)
-    linkage = clusterer.fit(distances)
+    linkage = AgglomerativeClusterer().fit(distances)
     if threshold is not None:
         _, labels, score = select_cut(linkage, distances, candidates=[threshold])
         return labels, linkage, threshold, score

@@ -517,7 +517,7 @@ class PushAdMiner:
         """The average-linkage dendrogram over the combined distances."""
         with self.tracer.span("pipeline.linkage") as span:
             with self.tracer.memory.measure() as mem:
-                linkage = AgglomerativeClusterer("average").fit(distances.total)
+                linkage = AgglomerativeClusterer().fit(distances.total)
             span.gauge("leaves", linkage.n_leaves)
             span.gauge("merges", len(linkage.merges))
             if distances.storage == "sparse":

@@ -1,4 +1,4 @@
-"""Sort-stability cases: unstable argsort feeding a merge, stable controls."""
+"""Sort-stability cases: unstable argsort behind a helper, stable controls."""
 
 from typing import Any, List, Sequence
 
@@ -21,13 +21,5 @@ def emit_lexsorted(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((scores,))
 
 
-def merge_results(items: Sequence[Any]) -> List[Any]:
+def emit_by_score(items: Sequence[Any]) -> List[Any]:
     return sorted(items, key=lambda it: it.score)
-
-
-def emit_merged(items: Sequence[Any]) -> List[Any]:
-    return merge_results(items)
-
-
-def emit_paired(items: Sequence[Any]) -> List[Any]:
-    return sorted(items, key=lambda it: (it.name, it.score))

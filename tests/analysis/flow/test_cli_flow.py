@@ -184,20 +184,27 @@ class TestFlowWorkers:
         assert "--flow-workers" in err
 
 
+@pytest.fixture
+def race_and_pure_trees(race_tree):
+    # Enough findings that two fingerprints share a leading hex digit.
+    shutil.copytree(FIXTURES / "purepkg", race_tree.parent / "purepkg")
+    return race_tree, race_tree.parent / "purepkg"
+
+
 class TestExplainPrefixAmbiguity:
-    def _fingerprints(self, capsys, tree):
+    def _fingerprints(self, capsys, trees):
         # Distinct fingerprints: repeated identical source lines (e.g.
         # the same ship statement in two orchestrators) legitimately
         # share one fingerprint and are not an ambiguity.
         _, out, _ = run_cli(
-            capsys, "--flow", "--no-flow-cache", "--format", "json", tree
+            capsys, "--flow", "--no-flow-cache", "--format", "json", *trees
         )
         return sorted({f["fingerprint"] for f in json.loads(out)["findings"]})
 
     def test_ambiguous_prefix_lists_candidates_and_exits_2(
-        self, race_tree, capsys
+        self, race_and_pure_trees, capsys
     ):
-        fingerprints = self._fingerprints(capsys, race_tree)
+        fingerprints = self._fingerprints(capsys, race_and_pure_trees)
         ambiguous = next(
             prefix
             for length in range(1, 17)
@@ -205,7 +212,8 @@ class TestExplainPrefixAmbiguity:
             if sum(f.startswith(prefix) for f in fingerprints) > 1
         )
         code, out, err = run_cli(
-            capsys, "--explain", ambiguous, "--no-flow-cache", race_tree
+            capsys, "--explain", ambiguous, "--no-flow-cache",
+            *race_and_pure_trees,
         )
         assert code == 2
         assert "ambiguous fingerprint prefix" in err
@@ -215,7 +223,7 @@ class TestExplainPrefixAmbiguity:
                 assert fingerprint in err
 
     def test_unique_prefix_explains_exactly_one(self, race_tree, capsys):
-        fingerprints = self._fingerprints(capsys, race_tree)
+        fingerprints = self._fingerprints(capsys, [race_tree])
         unique = next(
             f[:length]
             for length in range(1, 17)

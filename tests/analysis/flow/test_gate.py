@@ -1,7 +1,7 @@
 """The tier-1 flow gate: ``src/repro`` is clean under every flow pass.
 
 Companion to ``tests/analysis/test_gate.py`` (the per-file gate): the
-whole-program taint, purity, race, reduction, dense-allocation and
+whole-program taint, purity, race, dense-allocation and
 sort-stability passes must all report nothing on the real
 tree, so neither nondeterminism nor a quadratic densification can hide
 behind a call hop — or behind the composition of two individually-clean
@@ -30,12 +30,11 @@ def test_src_repro_has_zero_flow_findings():
 def test_gate_exercises_every_flow_pass():
     # The zero-findings gate only means something if every pass ran;
     # each flow rule id must be selected by default, including the race
-    # and reduction passes.
+    # pass.
     assert FLOW_RULE_IDS == (
         "flow-nondet-taint",
         "flow-parallel-purity",
         "flow-shared-state-race",
-        "flow-unordered-reduction",
         "flow-dense-alloc",
         "flow-unstable-order",
     )

@@ -76,6 +76,21 @@ class TestRealTreeResolution:
             ("repro.perf.blocking", "cut_silhouette_tile")
         ]
 
+    def test_serve_ship_site_through_init_typed_attribute(self, src_index):
+        # ServeCore ships the query kernel through self._plan, typed only
+        # by the ExecutionPlan(...) call assigned to it in __init__.
+        ships = [
+            s
+            for s in src_index.shipped_callables()
+            if s.shipper[0] == "repro.serve.core"
+        ]
+        assert [(s.shipper[1], s.target) for s in ships] == [
+            (
+                "ServeCore._query_distances",
+                ("repro.perf.kernels", "query_distance_tile"),
+            )
+        ]
+
     def test_unresolved_externals_produce_no_edges(self, src_index):
         assert src_index.resolve_symbol("json.dumps") is None
         assert src_index.resolve_symbol("os.path.join") is None

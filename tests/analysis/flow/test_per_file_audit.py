@@ -1,12 +1,13 @@
 """Why each rule that overlaps another check stays in pushlint.
 
 Per-file rules: ``no-wallclock`` and ``no-unseeded-rng`` overlap
-``flow-nondet-taint``'s sources, ``deterministic-emit`` overlaps
-``flow-unordered-reduction``, and ``no-matrix-densify`` overlaps
+``flow-nondet-taint``'s sources, and ``no-matrix-densify`` overlaps
 ``flow-dense-alloc``. A per-file rule earns its place only if some code
 trips it that no flow pass reports: each case below is such a snippet,
 run through the rule and through ``run_flow`` with every flow pass
-selected.
+selected. ``deterministic-emit`` overlaps no flow pass (none models set
+iteration order); its case stays to show that it is the only check of
+set order frozen into output.
 
 Flow rules: each one earns its place with a seeded mutation of a real
 ``src/repro`` function (:data:`FLOW_MUTATIONS`) that breaks a stated
@@ -129,27 +130,6 @@ FLOW_MUTATIONS = {
                 "    global _QUERY_BOUND\n"
                 "    _QUERY_BOUND = bound\n"
                 "    kernel = query_candidate_min_tile\n",
-            ),
-        ],
-    ),
-    # The process backend yields tile results as they complete. Tier-1's
-    # worker-identity tests catch this too: the rule fails its audit and
-    # is next in line for deletion (docs/ANALYSIS.md).
-    "flow-unordered-reduction": (
-        "repro.perf.plan",
-        [
-            (
-                "from concurrent.futures import ProcessPoolExecutor\n",
-                "from concurrent.futures import ProcessPoolExecutor, "
-                "as_completed\n",
-            ),
-            (
-                "            futures = [pool.submit(kernel, operands, tile) "
-                "for tile in tiles]\n"
-                "            for future in futures:\n",
-                "            futures = [pool.submit(kernel, operands, tile) "
-                "for tile in tiles]\n"
-                "            for future in as_completed(futures):\n",
             ),
         ],
     ),

@@ -1,4 +1,4 @@
-"""The shared-state race + unordered-reduction passes on racepkg."""
+"""The shared-state race pass on racepkg."""
 
 from repro.analysis import AnalysisEngine
 from repro.analysis.flow import run_flow
@@ -12,10 +12,6 @@ def by_rule(result, rule_id):
 
 def races(result):
     return by_rule(result, "flow-shared-state-race")
-
-
-def reductions(result):
-    return by_rule(result, "flow-unordered-reduction")
 
 
 class TestFixtureHygiene:
@@ -119,56 +115,3 @@ class TestSharedStateRaces:
             for ff in result.all_findings
             if not ff.suppressed
         )
-
-
-class TestUnorderedReductions:
-    def test_as_completed_reaching_emit_sink(self):
-        result = flow_over("racepkg")
-        totals = [
-            ff.finding
-            for ff in reductions(result)
-            if "emit_totals" in ff.finding.message
-        ]
-        assert len(totals) == 1
-        finding = totals[0]
-        assert "completion-order" in finding.message
-        assert "concurrent.futures.as_completed" in finding.message
-        # The merge lives one hop away in _gather; the chain shows it.
-        assert any("_gather" in hop for hop in finding.chain)
-        assert "merge" in finding.chain[-1]
-
-    def test_imap_unordered_reaching_stage_boundary(self):
-        result = flow_over("racepkg")
-        stage = [
-            ff.finding
-            for ff in reductions(result)
-            if "stage_collect" in ff.finding.message
-        ]
-        assert len(stage) == 1
-        assert "pipeline stage" in stage[0].message
-        assert ".imap_unordered" in stage[0].message
-
-    def test_float_sum_over_set(self):
-        result = flow_over("racepkg")
-        floats = [
-            ff.finding
-            for ff in reductions(result)
-            if "emit_float_total" in ff.finding.message
-        ]
-        assert len(floats) == 1
-        assert "float-accum" in floats[0].message
-        assert "sum(set)" in floats[0].message
-
-    def test_sanctioned_patterns_stay_silent(self):
-        result = flow_over("racepkg")
-        messages = [ff.finding.message for ff in reductions(result)]
-        # Submission-order gather, sorted() wrap, math.fsum: no merge
-        # source; the disable directive on the merge line sanctions
-        # emit_sanctioned for every sink that reaches it.
-        for clean in (
-            "emit_submission_order",
-            "emit_sorted_merge",
-            "emit_fsum_total",
-            "emit_sanctioned",
-        ):
-            assert not any(clean in m for m in messages), clean

@@ -1,10 +1,10 @@
 """The shape passes: corpus coverage, sanctions, golden output.
 
 The ``shapepkg`` fixture corpus exercises every detector — a dense
-allocation hidden behind a helper call, an unstable argsort feeding a
-merge — and every sanctioned
-pattern (streaming ``tile x n`` kernels, ``kind="stable"`` sorts, tuple
-sort keys, the suppressed densifier). The golden tests pin one finding per pass
+allocation hidden behind a helper call, an unstable argsort behind a
+helper — and every sanctioned pattern (streaming ``tile x n`` kernels,
+``kind="stable"`` argsorts, stable ``np.lexsort``/``sorted()`` sorts,
+the suppressed densifier). The golden tests pin one finding per pass
 byte-for-byte through the ``repro-lint/2`` JSON reporter and
 ``--explain``; the src/repro tests prove each inline sanction in the
 real tree is load-bearing.
@@ -39,7 +39,7 @@ class TestCorpusCoverage:
     def test_every_detector_fires_on_the_corpus(self):
         result = flow_over("shapepkg")
         assert len(_by_rule(result, "flow-dense-alloc")) == 1
-        assert len(_by_rule(result, "flow-unstable-order")) == 3
+        assert len(_by_rule(result, "flow-unstable-order")) == 1
 
     def test_dense_alloc_hidden_behind_a_helper_has_full_chain(self):
         (finding,) = _by_rule(flow_over("shapepkg"), "flow-dense-alloc")
@@ -49,27 +49,23 @@ class TestCorpusCoverage:
         assert "_scratch" in finding.chain[1]
         assert finding.chain[-1].startswith("allocation numpy.zeros((n:big, n:big))")
 
-    def test_unstable_sorts_cover_all_three_shapes(self):
-        sorts = _by_rule(flow_over("shapepkg"), "flow-unstable-order")
-        kinds = {f.chain[-1].split()[0] for f in sorts}
-        assert kinds == {
-            "unstable-argsort",
-            "single-key-lexsort",
-            "float-keyed-sort",
-        }
-        merged = [f for f in sorts if "emit_merged" in f.message]
-        assert merged and "merge_results" in merged[0].chain[1]
+    def test_only_default_kind_sorts_are_reported(self):
+        (finding,) = _by_rule(flow_over("shapepkg"), "flow-unstable-order")
+        assert "emit_ranking" in finding.message
+        assert "_rank" in finding.chain[1]
+        assert finding.chain[-1].startswith("unstable-argsort numpy.argsort")
 
     def test_sanctioned_patterns_stay_clean(self):
         result = flow_over("shapepkg")
-        # tile x n streaming, kind="stable", tuple keys: none may appear
-        # in any finding or chain.
+        # tile x n streaming, kind="stable", and the stable lexsort and
+        # float-keyed sorted(): none may appear in any finding or chain.
         rendered = "\n".join(
             f.message + "\n" + "\n".join(f.chain) for f in result.findings
         )
         assert "tile_kernel" not in rendered
         assert "emit_stable" not in rendered
-        assert "emit_paired" not in rendered
+        assert "emit_lexsorted" not in rendered
+        assert "emit_by_score" not in rendered
 
     def test_suppressed_densifier_counts_as_suppressed(self):
         result = flow_over("shapepkg")

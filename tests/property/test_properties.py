@@ -206,7 +206,7 @@ class TestAgainstScipy:
               suppress_health_check=[HealthCheck.too_slow])
     @given(distance_matrix())
     def test_average_linkage_heights_match_scipy(self, dist):
-        ours = AgglomerativeClusterer("average").fit(dist)
+        ours = AgglomerativeClusterer().fit(dist)
         reference = scipy_linkage(squareform(dist, checks=False), method="average")
         assert np.allclose(
             np.sort(ours.heights()), np.sort(reference[:, 2]), atol=1e-9
@@ -216,7 +216,7 @@ class TestAgainstScipy:
               suppress_health_check=[HealthCheck.too_slow])
     @given(distance_matrix(), st.floats(min_value=0.0, max_value=1.2))
     def test_flat_cuts_match_scipy(self, dist, threshold):
-        ours = AgglomerativeClusterer("average").fit(dist).cut(threshold)
+        ours = AgglomerativeClusterer().fit(dist).cut(threshold)
         reference_linkage = scipy_linkage(
             squareform(dist, checks=False), method="average"
         )
@@ -226,15 +226,3 @@ class TestAgainstScipy:
         for i in range(n):
             for j in range(i):
                 assert (ours[i] == ours[j]) == (reference[i] == reference[j])
-
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(distance_matrix())
-    def test_single_and_complete_match_scipy(self, dist):
-        condensed = squareform(dist, checks=False)
-        for method in ("single", "complete"):
-            ours = AgglomerativeClusterer(method).fit(dist)
-            reference = scipy_linkage(condensed, method=method)
-            assert np.allclose(
-                np.sort(ours.heights()), np.sort(reference[:, 2]), atol=1e-9
-            )
