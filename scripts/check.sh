@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The single pre-merge gate: pushlint + mypy (when installed) + tier-1
-# pytest + crawl/DetSan smokes + the end-to-end benchmark's own tests.
+# pytest + crawl/DetSan smokes + a DetSan pytest run + the end-to-end
+# benchmark's own tests.
 # Usage: scripts/check.sh [extra pytest args...]
 set -u -o pipefail
 
@@ -160,10 +161,11 @@ print(
     f"{san.report.tiles_verified} tile(s) verified"
 )
 
-# The other three ship sites: the dense absorb's all-rows query kernel,
-# the sparse absorb's blocked nearest-row search and serve's classify.
-# Each must give the same AbsorbReport, exported-result hash and
-# response bytes as an unperturbed run.
+# The one nearest-row search (nearest_corpus_rows) through each of its
+# callers: the dense absorb and serve's classify stream its exhaustive
+# tile kernel, the sparse absorb its blocked one. Each must give the same
+# AbsorbReport, exported-result hash and response bytes as an
+# unperturbed run.
 from repro.incremental import IncrementalMiner
 from repro.serve import MinedSnapshot, ServeCore, canonical_json
 
@@ -208,6 +210,14 @@ print(
     f"{san.report.tiles_verified} tile(s) verified"
 )
 PYEOF
+
+# The perf and incremental suites (nearest-row kernels, absorb, its fuzz
+# property and the convergence contract) once more with a session-wide
+# sanitizer installed by REPRO_DETSAN=1.
+step "DetSan pytest (REPRO_DETSAN=1 python -m pytest -q tests/perf tests/incremental)"
+start=$SECONDS
+REPRO_DETSAN=1 python -m pytest -q tests/perf tests/incremental || failures=$((failures + 1))
+echo "DetSan pytest step: $((SECONDS - start))s"
 
 # The end-to-end benchmark's own tests: a smoke run of both workloads
 # against perfbench's pinned snapshot hash, served checksums and absorb

@@ -697,6 +697,10 @@ class _ModuleExtractor:
         if root in ("self", "cls") and local.class_name is not None:
             if len(parts) == 1:
                 return f"{self.module}.{local.class_name}.{parts[0]}"
+            # self.<attr>.<method>: typed by the constructor __init__
+            # assigns to the attribute, if any.
+            if infer and parts and parts[0] in local.attr_types:
+                return ".".join([local.attr_types[parts[0]], *parts[1:]])
             return None
         if infer and root in local.var_types and parts:
             return ".".join([local.var_types[root], *parts])

@@ -24,8 +24,9 @@ from repro.analysis.suppress import Suppressions
 #: passes; v4 dropped the ``"densifier"`` kernel-region role; v5 dropped
 #: the dtype facts (``dtype_events``, ``returns_dtype``); v6 dropped the
 #: order-sensitive merges (``merges``) and the stable-sort events, and
-#: types ``self.<attr>`` ship receivers from ``__init__``.
-SUMMARY_VERSION = 6
+#: types ``self.<attr>`` ship receivers from ``__init__``; v7 resolves
+#: ``self.<attr>.<method>(...)`` calls through the same typing.
+SUMMARY_VERSION = 7
 
 
 @dataclass(frozen=True)

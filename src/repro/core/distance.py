@@ -10,25 +10,30 @@ blocking stage and keeps only the entries surviving its certified
 screens — every absent pair provably has total distance >= the blocking
 bound (see :mod:`repro.perf.blocking`) — stored bitwise equal to the
 dense kernels' output.
+
+:class:`CorpusIndex` is the one place that turns token lists into kernel
+operands, for the batch mine, the serving layer and the incremental miner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.features import WpnFeatures, extract_all
 from repro.core.records import WpnRecord
 from repro.core.textsim import SoftCosineModel
-from repro.core.urlsim import url_membership_operands
+from repro.core.urlsim import url_membership_matrix, url_token_vocabulary
 from repro.perf import (
     DEFAULT_SPARSE_BOUND,
     BlockingStats,
     ExecutionPlan,
     PairwiseOperands,
+    QueryOperands,
     SparsePairwise,
     candidate_distance_tile,
     combined_distance_tile,
@@ -39,6 +44,127 @@ from repro.perf import (
 STORAGES = ("dense", "sparse")
 
 Matrix = Union[np.ndarray, SparsePairwise]
+
+
+@dataclass(frozen=True)
+class CorpusIndex:
+    """A fitted text model plus the distance operands of one corpus.
+
+    The URL vocabulary is first-seen over *sorted* token lists, so it is
+    the same in every process; Jaccard values do not depend on column
+    order anyway (memberships are exact 0/1 and their sums are exact).
+    Immutable: :meth:`extended` returns a new index and leaves this one,
+    and any :class:`QueryOperands` built from it, untouched.
+    """
+
+    model: SoftCosineModel
+    operands: PairwiseOperands
+    url_vocabulary: Mapping[str, int]
+
+    @classmethod
+    def build(
+        cls,
+        model: SoftCosineModel,
+        texts: Sequence[Sequence[str]],
+        url_lists: Sequence[Iterable[str]],
+    ) -> "CorpusIndex":
+        """Index a corpus of distinct URL-token lists under a fitted model."""
+        sorted_lists = [sorted(tokens) for tokens in url_lists]
+        vocabulary = url_token_vocabulary(sorted_lists)
+        return cls._of(
+            model,
+            model.corpus_operands(texts),
+            url_membership_matrix(sorted_lists, vocabulary),
+            vocabulary,
+        )
+
+    @classmethod
+    def _of(
+        cls,
+        model: SoftCosineModel,
+        text_operands: Tuple[sparse.csr_matrix, np.ndarray, np.ndarray],
+        member: sparse.csr_matrix,
+        vocabulary: Mapping[str, int],
+    ) -> "CorpusIndex":
+        bow_normed, doc_emb, zero_rows = text_operands
+        sizes = np.asarray(member.sum(axis=1)).ravel()
+        operands = PairwiseOperands(
+            bow_normed=bow_normed,
+            doc_emb=doc_emb,
+            zero_rows=zero_rows,
+            blend=model.blend,
+            url_member=member,
+            url_sizes=sizes,
+            url_empty=sizes == 0,
+        )
+        return cls(model, operands, vocabulary)
+
+    def queries(
+        self,
+        texts: Sequence[Sequence[str]],
+        url_lists: Sequence[Iterable[str]],
+    ) -> QueryOperands:
+        """Operands of new documents against this corpus.
+
+        Out-of-vocabulary URL tokens cannot intersect a corpus row: they
+        are dropped from the membership but count in the true set size.
+        """
+        q_bow, q_emb, q_zero = self.model.corpus_operands(texts)
+        sorted_lists = [sorted(tokens) for tokens in url_lists]
+        q_sizes = np.asarray(
+            [len(tokens) for tokens in sorted_lists], dtype=np.float64
+        )
+        return QueryOperands(
+            corpus=self.operands,
+            q_bow_normed=q_bow,
+            q_doc_emb=q_emb,
+            q_zero_rows=q_zero,
+            q_url_member=url_membership_matrix(
+                sorted_lists, self.url_vocabulary
+            ),
+            q_url_sizes=q_sizes,
+            q_url_empty=q_sizes == 0,
+        )
+
+    def extended(
+        self, queries: QueryOperands, url_lists: Sequence[Iterable[str]]
+    ) -> "CorpusIndex":
+        """This corpus plus the rows of one :meth:`queries` call.
+
+        Every operand is row-independent and the vocabulary only grows,
+        in first-seen order, so this is bitwise :meth:`build` over the
+        union with the same model.
+        """
+        sorted_lists = [sorted(tokens) for tokens in url_lists]
+        vocabulary = url_token_vocabulary(
+            [list(self.url_vocabulary), *sorted_lists]
+        )
+        old = self.operands
+        # Widen the existing membership rows to the grown vocabulary (no
+        # stored entry moves), then stack the new rows under them.
+        widened = sparse.csr_matrix(
+            (
+                old.url_member.data,
+                old.url_member.indices,
+                old.url_member.indptr,
+            ),
+            shape=(old.n, len(vocabulary)),
+        )
+        return self._of(
+            self.model,
+            (
+                sparse.vstack(
+                    [old.bow_normed, queries.q_bow_normed], format="csr"
+                ),
+                np.concatenate([old.doc_emb, queries.q_doc_emb]),
+                np.concatenate([old.zero_rows, queries.q_zero_rows]),
+            ),
+            sparse.vstack(
+                [widened, url_membership_matrix(sorted_lists, vocabulary)],
+                format="csr",
+            ),
+            vocabulary,
+        )
 
 
 @dataclass
@@ -168,19 +294,9 @@ def compute_distances(
     if not model.is_fitted:
         model = model.clone().fit(corpus)
 
-    bow_normed, doc_emb, zero_rows = model.corpus_operands(corpus)
-    member, sizes, empty = url_membership_operands(
-        [f.url_tokens for f in features]
-    )
-    operands = PairwiseOperands(
-        bow_normed=bow_normed,
-        doc_emb=doc_emb,
-        zero_rows=zero_rows,
-        blend=model.blend,
-        url_member=member,
-        url_sizes=sizes,
-        url_empty=empty,
-    )
+    operands = CorpusIndex.build(
+        model, corpus, [f.url_tokens for f in features]
+    ).operands
 
     plan = plan if plan is not None else ExecutionPlan()
     n = len(records)

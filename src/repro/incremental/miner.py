@@ -9,13 +9,15 @@ frozen base state:
   :class:`~repro.core.textsim.SoftCosineModel` (its per-row operands are
   row-independent, so the new rows are bitwise the rows a batch run with
   this model would compute);
-* run the query-vs-corpus distance kernels — the blocked
-  :func:`~repro.perf.delta.nearest_corpus_rows` under ``storage="sparse"``,
-  the dense :func:`~repro.perf.kernels.query_distance_tile` otherwise — and
-  assign each new WPN to its nearest existing cluster iff the combined
-  distance clears the frozen ``cut_threshold``, opening a singleton
-  cluster for the rest (ties break to the lowest corpus index, the
-  dense-argmin convention);
+* build the batch's query operands from the union corpus's
+  :class:`~repro.core.distance.CorpusIndex`, run
+  :func:`~repro.perf.delta.nearest_corpus_rows` — the search serve's
+  classify runs, blocked by the blocking bound under
+  ``storage="sparse"`` and exhaustive otherwise — and assign each new
+  WPN to its nearest existing cluster iff the combined distance clears
+  the frozen ``cut_threshold``, opening a singleton cluster for the
+  rest (ties break to the lowest corpus index, the dense-argmin
+  convention); the index is then extended by the batch rows;
 * re-run the deterministic post-clustering verdict stages (campaigns →
   blocklist labeling → meta clustering → suspicion) over the union via
   :meth:`~repro.core.pipeline.PushAdMiner.run_verdict_stages` — they are
@@ -45,13 +47,13 @@ incremental cut sweep vs. ``Linkage.cut``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.campaigns import WpnCluster
-from repro.core.features import WpnFeatures, extract_all
+from repro.core.distance import CorpusIndex
+from repro.core.features import extract_all
 from repro.core.labeling import LabelingResult
 from repro.core.metacluster import MetaCluster
 from repro.core.pipeline import (
@@ -63,16 +65,9 @@ from repro.core.pipeline import (
 from repro.core.records import WpnRecord
 from repro.core.suspicious import SuspicionResult
 from repro.core.textsim import SoftCosineModel
-from repro.core.urlsim import url_membership_matrix
 from repro.core.verification import ManualVerificationOracle
 from repro.obs import Tracer
-from repro.perf import (
-    ExecutionPlan,
-    PairwiseOperands,
-    QueryOperands,
-    nearest_corpus_rows,
-    query_distance_tile,
-)
+from repro.perf import ExecutionPlan, nearest_corpus_rows
 from repro.serve.snapshot import MinedSnapshot, SnapshotSchemaError
 
 
@@ -158,20 +153,6 @@ class IncrementalResult(ResultSummaryMixin):
         )
 
 
-@dataclass
-class _CorpusState:
-    """The query-kernel operands of the current union corpus.
-
-    Maintained append-only: every absorb extends these arrays with the
-    batch rows it just featurized (row-independent operations, so the
-    extended operands equal a from-scratch rebuild over the union with
-    the same frozen model and vocabulary-extension order).
-    """
-
-    operands: PairwiseOperands
-    url_vocabulary: Dict[str, int]
-
-
 class IncrementalMiner:
     """Absorb new WPN batches into a completed mining run's state.
 
@@ -200,11 +181,7 @@ class IncrementalMiner:
         self._cut_threshold = float(cut_threshold)
         self._model = text_model
         self._absorbed_since_compaction = 0
-        self._validate_base()
-        self._corpus = self._build_corpus_state(self._records)
-        self._next_label = int(self._labels.max()) + 1
-        verdicts = self._miner.run_verdict_stages(self._records, self._labels)
-        self._verdicts = verdicts
+        self._adopt_base()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -291,8 +268,22 @@ class IncrementalMiner:
         )
 
     # ------------------------------------------------------------------
-    # Base-state validation and operand maintenance
+    # Base-state adoption
     # ------------------------------------------------------------------
+    def _adopt_base(self) -> None:
+        """Validate the exact base state and derive everything else from it."""
+        self._validate_base()
+        features = extract_all(self._records)
+        self._index = CorpusIndex.build(
+            self._model,
+            [list(f.text_tokens) for f in features],
+            [f.url_tokens for f in features],
+        )
+        self._next_label = int(self._labels.max()) + 1
+        self._verdicts = self._miner.run_verdict_stages(
+            self._records, self._labels
+        )
+
     def _validate_base(self) -> None:
         if not self._records:
             raise IncrementalDriftError("base state holds no records")
@@ -323,84 +314,6 @@ class IncrementalMiner:
                 f"or dense storage"
             )
 
-    def _build_corpus_state(
-        self, records: Sequence[WpnRecord]
-    ) -> _CorpusState:
-        features = extract_all(records)
-        texts = [list(f.text_tokens) for f in features]
-        bow, emb, zero = self._model.corpus_operands(texts)
-        # First-seen vocabulary over sorted per-record token lists:
-        # process-stable, and extended (never rebuilt) by each absorb.
-        url_lists = [sorted(f.url_tokens) for f in features]
-        vocabulary: Dict[str, int] = {}
-        for tokens in url_lists:
-            for token in tokens:
-                if token not in vocabulary:
-                    vocabulary[token] = len(vocabulary)
-        member = url_membership_matrix(url_lists, vocabulary)
-        sizes = np.asarray(member.sum(axis=1)).ravel()
-        operands = PairwiseOperands(
-            bow_normed=bow,
-            doc_emb=emb,
-            zero_rows=zero,
-            blend=self._model.blend,
-            url_member=member,
-            url_sizes=sizes,
-            url_empty=sizes == 0,
-        )
-        return _CorpusState(operands=operands, url_vocabulary=vocabulary)
-
-    def _extend_corpus_state(
-        self,
-        features: Sequence[WpnFeatures],
-        q_bow: sparse.csr_matrix,
-        q_emb: np.ndarray,
-        q_zero: np.ndarray,
-    ) -> None:
-        """Append the batch rows to the corpus operands, in place.
-
-        Every extension is row-independent (the text operands are
-        normalized per row; URL memberships are exact 0/1 sums), so the
-        extended operands are bitwise what :meth:`_build_corpus_state`
-        would produce over the union with the same model and the same
-        first-seen vocabulary order.
-        """
-        state = self._corpus
-        old = state.operands
-        vocabulary = state.url_vocabulary
-        url_lists = [sorted(f.url_tokens) for f in features]
-        for tokens in url_lists:
-            for token in tokens:
-                if token not in vocabulary:
-                    vocabulary[token] = len(vocabulary)
-        # Pad the existing membership columns to the extended vocabulary
-        # (pure shape change: no stored entry moves), then stack the
-        # batch rows computed over the same vocabulary.
-        padded = sparse.csr_matrix(
-            (
-                old.url_member.data,
-                old.url_member.indices,
-                old.url_member.indptr,
-            ),
-            shape=(old.url_member.shape[0], len(vocabulary)),
-        )
-        q_member = url_membership_matrix(url_lists, vocabulary)
-        member = sparse.vstack([padded, q_member], format="csr")
-        sizes = np.concatenate(
-            [old.url_sizes, np.asarray(q_member.sum(axis=1)).ravel()]
-        )
-        state.operands = PairwiseOperands(
-            bow_normed=sparse.vstack(
-                [old.bow_normed, q_bow], format="csr"
-            ),
-            doc_emb=np.concatenate([old.doc_emb, q_emb]),
-            zero_rows=np.concatenate([old.zero_rows, q_zero]),
-            blend=old.blend,
-            url_member=member,
-            url_sizes=sizes,
-            url_empty=sizes == 0,
-        )
-
     # ------------------------------------------------------------------
     # Absorption
     # ------------------------------------------------------------------
@@ -425,28 +338,6 @@ class IncrementalMiner:
                 )
             batch_ids.add(record.wpn_id)
 
-    def _nearest(
-        self, operands: QueryOperands, plan: ExecutionPlan
-    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
-        """``(distances, columns, n_candidates, n_scored)`` per query."""
-        if self.config.storage == "sparse":
-            found = nearest_corpus_rows(
-                operands, plan, bound=self.config.blocking_bound
-            )
-            return (
-                found.distances,
-                found.columns,
-                found.n_candidates,
-                found.n_scored,
-            )
-        blocks = plan.run(
-            query_distance_tile, operands, plan.tiles(operands.corpus.n)
-        )
-        distances = np.concatenate(blocks, axis=1)
-        columns = distances.argmin(axis=1).astype(np.int64)
-        q = np.arange(distances.shape[0])
-        return distances[q, columns], columns, 0, 0
-
     def absorb(self, batch: Sequence[WpnRecord]) -> AbsorbReport:
         """Absorb one batch of new records; returns the accounting.
 
@@ -463,33 +354,22 @@ class IncrementalMiner:
 
             with self.tracer.span("incremental.assign") as assign_span:
                 features = extract_all(batch)
-                q_bow, q_emb, q_zero = self._model.corpus_operands(
-                    [list(f.text_tokens) for f in features]
+                url_lists = [f.url_tokens for f in features]
+                queries = self._index.queries(
+                    [list(f.text_tokens) for f in features], url_lists
                 )
-                url_lists = [sorted(f.url_tokens) for f in features]
-                q_member = url_membership_matrix(
-                    url_lists, self._corpus.url_vocabulary
-                )
-                q_sizes = np.asarray(
-                    [len(tokens) for tokens in url_lists], dtype=np.float64
-                )
-                operands = QueryOperands(
-                    corpus=self._corpus.operands,
-                    q_bow_normed=q_bow,
-                    q_doc_emb=q_emb,
-                    q_zero_rows=q_zero,
-                    q_url_member=q_member,
-                    q_url_sizes=q_sizes,
-                    q_url_empty=q_sizes == 0,
-                )
-                distances, columns, n_candidates, n_scored = self._nearest(
-                    operands, plan
+                found = nearest_corpus_rows(
+                    queries,
+                    plan,
+                    bound=(
+                        cfg.blocking_bound if cfg.storage == "sparse" else None
+                    ),
                 )
                 new_labels = np.empty(len(batch), dtype=np.int64)
-                assign = distances <= self._cut_threshold
+                assign = found.distances <= self._cut_threshold
                 for i in range(len(batch)):
                     if assign[i]:
-                        new_labels[i] = self._labels[columns[i]]
+                        new_labels[i] = self._labels[found.columns[i]]
                     else:
                         new_labels[i] = self._next_label
                         self._next_label += 1
@@ -497,13 +377,13 @@ class IncrementalMiner:
                 assign_span.gauge("batch", len(batch))
                 assign_span.gauge("assigned", assigned)
                 assign_span.gauge("opened", len(batch) - assigned)
-                assign_span.gauge("candidate_pairs", n_candidates)
-                assign_span.gauge("scored_pairs", n_scored)
+                assign_span.gauge("candidate_pairs", found.n_candidates)
+                assign_span.gauge("scored_pairs", found.n_scored)
                 assign_span.gauge("workers", plan.workers)
 
             self._records.extend(batch)
             self._labels = np.concatenate([self._labels, new_labels])
-            self._extend_corpus_state(features, q_bow, q_emb, q_zero)
+            self._index = self._index.extended(queries, url_lists)
 
             with self.tracer.span("incremental.verdicts"):
                 self._verdicts = self._miner.run_verdict_stages(
@@ -524,8 +404,8 @@ class IncrementalMiner:
                 opened=len(batch) - assigned,
                 corpus_size=len(self._records),
                 deferred_to_compaction=self._absorbed_since_compaction,
-                n_candidates=n_candidates,
-                n_scored=n_scored,
+                n_candidates=found.n_candidates,
+                n_scored=found.n_scored,
             )
 
     # ------------------------------------------------------------------
@@ -582,10 +462,5 @@ class IncrementalMiner:
             assert full.text_model is not None  # run() always fits one
             self._model = full.text_model
             self._absorbed_since_compaction = 0
-            self._validate_base()
-            self._corpus = self._build_corpus_state(self._records)
-            self._next_label = int(self._labels.max()) + 1
-            self._verdicts = self._miner.run_verdict_stages(
-                self._records, self._labels
-            )
+            self._adopt_base()
             return full

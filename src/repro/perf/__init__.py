@@ -20,10 +20,11 @@ O(n^2) stages on:
   rows by :func:`cut_silhouette_tile`) that scores every candidate cut
   in one pass, bit for bit the same for any tile split, in
   O(tile * n) memory;
-* :mod:`repro.perf.delta` — blocked query-vs-corpus delta kernels for
-  incremental mining: candidate-blocked per-query nearest-row search
-  whose assignment decisions below the certification bound match the
-  dense query kernels bit for bit.
+* :mod:`repro.perf.delta` — the nearest-corpus-row search that serving
+  and incremental mining share: an exhaustive tile kernel that is
+  bitwise ``np.argmin`` over the dense query rows, and a
+  candidate-blocked one whose assignment decisions below the
+  certification bound match it bit for bit.
 
 The package sits below :mod:`repro.core` in the layering DAG: kernels only
 see numpy arrays and scipy sparse matrices, never records or models.
@@ -47,6 +48,7 @@ from repro.perf.delta import (
     QueryNearest,
     nearest_corpus_rows,
     query_candidate_min_tile,
+    query_min_tile,
 )
 from repro.perf.kernels import (
     PairwiseOperands,
@@ -85,6 +87,7 @@ __all__ = [
     "query_candidate_min_tile",
     "query_distance_tile",
     "query_jaccard_distance_tile",
+    "query_min_tile",
     "query_text_distance_tile",
     "row_tiles",
     "silhouette_rows",

@@ -1,74 +1,94 @@
-"""Query-vs-corpus delta kernels for incremental mining.
+"""Nearest-corpus-row search: the one query path of serve and absorb.
 
-The incremental miner assigns each record of a new batch to its nearest
-*existing* corpus row iff the combined distance clears the snapshot's cut
-threshold.  The dense path streams
-:func:`~repro.perf.kernels.query_distance_tile` and takes a global
-argmin; this module is the blocked equivalent — the same inverted-URL-
-token-index candidate enumeration and certified screens as
-:func:`~repro.perf.blocking.candidate_distance_tile`, applied to the
-``(query, corpus)`` rectangle instead of the pairwise triangle.
+Serve's classify and the incremental absorb both ask which corpus row is
+nearest to each query, and how far it is.  :func:`nearest_corpus_rows`
+streams one of two tile kernels over the corpus tiles and merges the
+per-tile minima in tile order with a strict ``<``:
 
-The exactness argument carries over unchanged: a query/corpus pair
-sharing no URL token (and not both URL-empty) has ``total = (text + 1)/2
->= 0.5``, and both screens certify every dropped candidate ``total >=
-bound``.  So for any assignment threshold **strictly below** ``bound``,
-the blocked per-query minimum decides *assign vs. open* — and picks the
-same lowest-index nearest column — exactly as the dense kernel would:
-every entry the blocked path scores reproduces the dense kernel's scalar
-operation sequence bit for bit, and every entry it skips is certified
-too far to matter.  Callers must enforce ``threshold < bound``
-(``repro.incremental`` refuses with ``IncrementalDriftError`` otherwise);
-``tests/perf/test_delta.py`` pins the agreement against the dense oracle.
+* :func:`query_min_tile` (no ``bound``): the dense
+  :func:`~repro.perf.kernels.query_distance_tile` block plus a per-tile
+  argmin — with the merge, bitwise ``np.argmin`` over the whole row;
+* :func:`query_candidate_min_tile` (with ``bound``): the inverted URL-
+  token index and certified screens of
+  :func:`~repro.perf.blocking.candidate_distance_tile`, applied to the
+  ``(query, corpus)`` rectangle instead of the pairwise triangle.
 
-Tiling runs over corpus rows, exactly like the other query kernels, so
-the per-tile minima reduce deterministically in tile order under any
-:class:`~repro.perf.plan.ExecutionPlan`.
+The blocked kernel's exactness argument carries over unchanged: a
+query/corpus pair sharing no URL token (and not both URL-empty) has
+``total = (text + 1)/2 >= 0.5``, and both screens certify every dropped
+candidate ``total >= bound``.  So for any assignment threshold
+**strictly below** ``bound``, the blocked per-query minimum decides
+*assign vs. open* — and picks the same lowest-index nearest column —
+exactly as the exhaustive search would: every entry the blocked path
+scores reproduces the dense kernel's scalar operation sequence bit for
+bit, and every entry it skips is certified too far to matter.  Callers
+must enforce ``threshold < bound`` (``repro.incremental`` refuses with
+``IncrementalDriftError`` otherwise); ``tests/perf/test_delta.py`` pins
+both kernels against the dense ``np.argmin`` oracle.
+
+Tiling runs over corpus rows, so any
+:class:`~repro.perf.plan.ExecutionPlan` gives the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.perf.blocking import DEFAULT_SPARSE_BOUND, _SCREEN_MARGIN, _SOFT_CHUNK
-from repro.perf.kernels import QueryOperands
+from repro.perf.kernels import QueryOperands, query_distance_tile
 from repro.perf.plan import ExecutionPlan, Tile
+
+
+#: ``(min_vals, argmin_cols, n_raw, n_scored)`` of one corpus tile.
+TileMinima = Tuple[np.ndarray, np.ndarray, int, int]
 
 
 @dataclass(frozen=True)
 class QueryNearest:
-    """Per-query nearest-corpus-row result of one blocked delta pass.
+    """Per-query nearest-corpus-row result of one search.
 
     ``distances[i]`` is the exact combined distance from query ``i`` to
-    its nearest corpus row *among the scored candidates* (``inf`` when no
-    candidate survived — every corpus row is then certified ``>=
-    bound``); ``columns[i]`` is that row's index, ties broken to the
-    lowest index, ``-1`` when no candidate survived.  For any assignment
-    threshold below ``bound`` this is indistinguishable from the dense
-    per-query argmin.  ``n_candidates`` / ``n_scored`` count the raw
-    enumerated and screen-surviving query/corpus pairs for gauges.
+    its nearest corpus row and ``columns[i]`` that row's index, ties
+    broken to the lowest index.  An exhaustive search (``bound`` is
+    ``None``) always finds one.  A blocked search finds it *among the
+    scored candidates*: ``inf`` and ``-1`` when no candidate survived —
+    every corpus row is then certified ``>= bound`` — so for any
+    assignment threshold below ``bound`` it is indistinguishable from
+    the exhaustive one.  ``n_candidates`` / ``n_scored`` count the raw
+    enumerated and screen-surviving query/corpus pairs for gauges (both
+    0 for an exhaustive search, which enumerates no candidates).
     """
 
     distances: np.ndarray  # (q,) float64
     columns: np.ndarray    # (q,) int64
-    bound: float
+    bound: Optional[float]
     n_candidates: int
     n_scored: int
 
-    @property
-    def n_queries(self) -> int:
-        return int(self.distances.size)
+
+def query_min_tile(operands: QueryOperands, tile: Tile) -> TileMinima:
+    """Exhaustive per-query minimum over one corpus row tile.
+
+    Returns ``(min_vals, argmin_cols, 0, 0)``: each query's smallest
+    :func:`~repro.perf.kernels.query_distance_tile` entry and its global
+    column, ties to the lowest (as ``np.argmin``).  Pure and module-level
+    so an :class:`~repro.perf.plan.ExecutionPlan` may ship it.
+    """
+    block = query_distance_tile(operands, tile)
+    local = block.argmin(axis=1)
+    min_vals = block[np.arange(block.shape[0]), local]
+    return min_vals, local.astype(np.int64) + np.int64(tile.start), 0, 0
 
 
 def query_candidate_min_tile(
     operands: QueryOperands,
     tile: Tile,
     bound: float = DEFAULT_SPARSE_BOUND,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
+) -> TileMinima:
     """Blocked per-query minimum over one corpus row tile.
 
     Returns ``(min_vals, argmin_cols, n_raw, n_scored)``: for each query,
@@ -190,26 +210,32 @@ def query_candidate_min_tile(
 def nearest_corpus_rows(
     operands: QueryOperands,
     plan: ExecutionPlan,
-    bound: float = DEFAULT_SPARSE_BOUND,
+    bound: Optional[float] = None,
 ) -> QueryNearest:
-    """Blocked nearest-corpus-row search for every query.
+    """Nearest corpus row for every query, exhaustive or blocked.
 
-    Streams :func:`query_candidate_min_tile` over the plan's corpus
-    tiles and reduces the per-tile minima in tile order with a strict
-    ``<`` — so cross-tile ties resolve to the earlier tile, i.e. the
-    lowest corpus column, matching the dense ``np.argmin`` convention.
-    Bit-identical for any tile size or worker count.
+    Streams :func:`query_min_tile` (``bound`` is ``None``) or
+    :func:`query_candidate_min_tile` (``bound`` given) over the plan's
+    corpus tiles and reduces the per-tile minima in tile order with a
+    strict ``<`` — so cross-tile ties resolve to the earlier tile, i.e.
+    the lowest corpus column, the ``np.argmin`` convention.
+    Bit-identical for any tile size or worker count.  An empty corpus
+    has no nearest row and raises :class:`ValueError`.
     """
     n = operands.corpus.n
-    kernel = partial(query_candidate_min_tile, bound=bound)
+    if n == 0:
+        raise ValueError("nearest-row search over an empty corpus")
+    minima = (
+        plan.stream(query_min_tile, operands, plan.tiles(n))
+        if bound is None
+        else _blocked_minima(operands, plan, bound)
+    )
     q = operands.n_queries
     best = np.full(q, np.inf, dtype=np.float64)
     best_cols = np.full(q, -1, dtype=np.int64)
     n_candidates = 0
     n_scored = 0
-    for min_vals, argmin_cols, raw, scored in plan.stream(
-        kernel, operands, plan.tiles(n)
-    ):
+    for min_vals, argmin_cols, raw, scored in minima:
         better = min_vals < best
         best[better] = min_vals[better]
         best_cols[better] = argmin_cols[better]
@@ -222,3 +248,15 @@ def nearest_corpus_rows(
         n_candidates=n_candidates,
         n_scored=n_scored,
     )
+
+
+def _blocked_minima(
+    operands: QueryOperands, plan: ExecutionPlan, bound: float
+) -> Iterator[TileMinima]:
+    """The blocked kernel's tile minima.
+
+    The bound travels inside the shipped ``partial``: a module global set
+    here would reach forked workers only, never spawned ones.
+    """
+    kernel = partial(query_candidate_min_tile, bound=bound)
+    return plan.stream(kernel, operands, plan.tiles(operands.corpus.n))

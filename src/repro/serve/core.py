@@ -15,14 +15,16 @@ needs (section 7 discussion / ROADMAP item 2), entirely from a
 * :meth:`stats` — snapshot-wide headline numbers and provenance.
 
 Determinism contract: responses are pure functions of ``(snapshot bytes,
-canonical query)``.  Batched classification streams the
-:func:`~repro.perf.kernels.query_distance_tile` kernel over an
-:class:`~repro.perf.plan.ExecutionPlan`, so any worker count or tile size
-yields bit-identical distances; the URL vocabulary is rebuilt from the
-snapshot's *sorted* token lists, so it is stable across processes; nearest
-ties break to the lowest corpus index (``np.argmin``); every response is
-canonical-JSON round-tripped before it is returned, so cached (string
-replay) and uncached (fresh compute) answers are the same bytes.
+canonical query)``.  Batched classification builds its query operands
+from the snapshot's :class:`~repro.core.distance.CorpusIndex` and runs
+the exhaustive :func:`~repro.perf.delta.nearest_corpus_rows` over an
+:class:`~repro.perf.plan.ExecutionPlan` — the same search the incremental
+miner runs — so any worker count or tile size yields bit-identical
+distances; the URL vocabulary is rebuilt from the snapshot's *sorted*
+token lists, so it is stable across processes; nearest ties break to the
+lowest corpus index (``np.argmin``); every response is canonical-JSON
+round-tripped before it is returned, so cached (string replay) and
+uncached (fresh compute) answers are the same bytes.
 
 The response cache is keyed by content hash of the canonical query plus
 the serving snapshot's content hash (see :mod:`repro.serve.cache`), so a
@@ -49,17 +51,9 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
-from repro.core.textsim import SoftCosineModel
-from repro.core.urlsim import url_membership_matrix, url_token_vocabulary
+from repro.core.distance import CorpusIndex
 from repro.obs import Span, Tracer
-from repro.perf import (
-    ExecutionPlan,
-    PairwiseOperands,
-    QueryOperands,
-    query_distance_tile,
-)
+from repro.perf import ExecutionPlan, nearest_corpus_rows
 from repro.serve.cache import DEFAULT_CACHE_SIZE, ResponseCache, response_cache_key
 from repro.serve.snapshot import MinedSnapshot, canonical_json
 from repro.util.domains import effective_second_level_domain
@@ -90,38 +84,20 @@ class ServingState:
     """
 
     snapshot: MinedSnapshot
-    model: SoftCosineModel
-    url_vocabulary: Dict[str, int]
-    corpus: PairwiseOperands
+    index: CorpusIndex
     suspicious_domains: FrozenSet[str]
 
 
 def _build_state(snapshot: MinedSnapshot) -> ServingState:
     """Derive the immutable serving state from one snapshot."""
-    model = snapshot.restore_text_model()
     records = snapshot.records
-    texts = [list(row["text_tokens"]) for row in records]
-    bow_normed, doc_emb, zero_rows = model.corpus_operands(texts)
-    url_lists = [list(row["url_tokens"]) for row in records]
-    # Token lists are stored sorted, so first-seen vocabulary order —
-    # and therefore every downstream sparse product — is process-stable.
-    url_vocabulary = url_token_vocabulary(url_lists)
-    member = url_membership_matrix(url_lists, url_vocabulary)
-    sizes = np.asarray(member.sum(axis=1)).ravel()
-    corpus = PairwiseOperands(
-        bow_normed=bow_normed,
-        doc_emb=doc_emb,
-        zero_rows=zero_rows,
-        blend=model.blend,
-        url_member=member,
-        url_sizes=sizes,
-        url_empty=sizes == 0,
-    )
     return ServingState(
         snapshot=snapshot,
-        model=model,
-        url_vocabulary=url_vocabulary,
-        corpus=corpus,
+        index=CorpusIndex.build(
+            snapshot.restore_text_model(),
+            [list(row["text_tokens"]) for row in records],
+            [row["url_tokens"] for row in records],
+        ),
         suspicious_domains=frozenset(snapshot.suspicious_domains),
     )
 
@@ -163,7 +139,7 @@ class ServeCore:
     def refresh(self, snapshot: MinedSnapshot) -> str:
         """Atomically hot-swap a newer snapshot; returns its content hash.
 
-        The replacement state (model, corpus operands, vocabulary) is
+        The replacement state (its corpus index) is
         built *before* the swap, so in-flight requests keep answering
         from the old state and the swap itself is one atomic attribute
         store — no request ever sees a mix of two snapshots.  The
@@ -321,51 +297,29 @@ class ServeCore:
                 else:
                     pending.append((i, key, query))
             if pending:
-                distances = self._query_distances(
-                    state, [q for _, _, q in pending]
+                found = nearest_corpus_rows(
+                    state.index.queries(
+                        [q["text_tokens"] for _, _, q in pending],
+                        [q["url_tokens"] for _, _, q in pending],
+                    ),
+                    self._plan,
                 )
-                for row, (i, key, query) in zip(distances, pending):
+                for j, (i, key, _) in enumerate(pending):
                     responses[i] = self._cache_store(
-                        key, self._classify_one(state, query, row)
+                        key,
+                        self._classify_one(
+                            state,
+                            float(found.distances[j]),
+                            int(found.columns[j]),
+                        ),
                     )
             self._mark_span(span, len(queries), hits)
             return [r for r in responses if r is not None]
 
-    def _query_distances(
-        self, state: ServingState, queries: Sequence[Dict[str, Any]]
-    ) -> np.ndarray:
-        """``(q, n)`` combined distances, queries vs the snapshot corpus."""
-        texts = [q["text_tokens"] for q in queries]
-        q_bow, q_emb, q_zero = state.model.corpus_operands(texts)
-        url_lists = [q["url_tokens"] for q in queries]
-        q_member = url_membership_matrix(url_lists, state.url_vocabulary)
-        q_sizes = np.asarray(
-            [len(tokens) for tokens in url_lists], dtype=np.float64
-        )
-        operands = QueryOperands(
-            corpus=state.corpus,
-            q_bow_normed=q_bow,
-            q_doc_emb=q_emb,
-            q_zero_rows=q_zero,
-            q_url_member=q_member,
-            q_url_sizes=q_sizes,
-            q_url_empty=q_sizes == 0,
-        )
-        n = state.corpus.n
-        blocks = self._plan.run(
-            query_distance_tile, operands, self._plan.tiles(n)
-        )
-        return np.concatenate(blocks, axis=1)
-
     def _classify_one(
-        self,
-        state: ServingState,
-        query: Dict[str, Any],
-        distances: np.ndarray,
+        self, state: ServingState, distance: float, nearest: int
     ) -> Dict[str, Any]:
         snapshot = state.snapshot
-        nearest = int(np.argmin(distances))  # ties break to lowest index
-        distance = float(distances[nearest])
         record = snapshot.records[nearest]
         assigned = distance <= snapshot.cut_threshold
         campaign = snapshot.campaigns[str(record["cluster_id"])]

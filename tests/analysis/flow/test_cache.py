@@ -164,14 +164,15 @@ def test_parallel_cold_build_is_byte_identical(tmp_path):
             )
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
 def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
-    # Regression for the v3 to v6 schema bumps: a cache whose entries
+    # Regression for the v3 to v7 schema bumps: a cache whose entries
     # carry version-2 summaries (written before the shape facts existed,
     # so lacking allocs/sorts), version-3 summaries (which may still hold
     # the dropped "densifier" role), version-4 summaries (which still
-    # carry the dropped dtype facts) or version-5 summaries (which still
-    # carry the dropped order-sensitive merges) has correct file
+    # carry the dropped dtype facts), version-5 summaries (which still
+    # carry the dropped order-sensitive merges) or version-6 summaries
+    # (which lack the self.<attr>.<method> call edges) has correct file
     # hashes — the per-summary version gate must reject every entry even
     # if the envelope (cache version + ruleset fingerprint) were somehow
     # valid.
@@ -193,7 +194,7 @@ def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
             elif version == 4:
                 fn["dtype_events"] = []
                 fn["returns_dtype"] = "unknown"
-            else:
+            elif version == 5:
                 fn["merges"] = []
     cache_file.write_text(json.dumps(payload))
 
@@ -202,10 +203,10 @@ def test_stale_summary_payload_is_wholesale_invalidated(tmp_path, version):
     assert index.cached == 0
 
 
-def test_current_summary_version_is_v6():
+def test_current_summary_version_is_v7():
     from repro.analysis.flow.summary import SUMMARY_VERSION
 
-    assert SUMMARY_VERSION == 6
+    assert SUMMARY_VERSION == 7
 
 
 def test_changed_rule_description_invalidates_wholesale(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.flow import ProjectIndex
 
-from tests.analysis.flow.conftest import build_index
+from tests.analysis.flow.conftest import build_index, write_package
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src" / "repro"
@@ -76,20 +76,40 @@ class TestRealTreeResolution:
             ("repro.perf.blocking", "cut_silhouette_tile")
         ]
 
-    def test_serve_ship_site_through_init_typed_attribute(self, src_index):
-        # ServeCore ships the query kernel through self._plan, typed only
-        # by the ExecutionPlan(...) call assigned to it in __init__.
-        ships = [
-            s
+    def test_serve_ships_through_nearest_corpus_rows(self, src_index):
+        # Serve's classify and the incremental absorb both reach their
+        # kernels through nearest_corpus_rows: the exhaustive tile kernel
+        # ships from it, the blocked one from its bound-binding helper.
+        graph = src_index.callgraph()
+        search = ("repro.perf.delta", "nearest_corpus_rows")
+        assert search in graph.successors(
+            ("repro.serve.core", "ServeCore.classify_batch")
+        )
+        assert search in graph.successors(
+            ("repro.incremental.miner", "IncrementalMiner.absorb")
+        )
+        ships = {
+            (s.shipper, s.target)
             for s in src_index.shipped_callables()
-            if s.shipper[0] == "repro.serve.core"
-        ]
-        assert [(s.shipper[1], s.target) for s in ships] == [
+            if s.shipper[0] in ("repro.perf.delta", "repro.serve.core")
+        }
+        assert ships == {
+            (search, ("repro.perf.delta", "query_min_tile")),
             (
-                "ServeCore._query_distances",
-                ("repro.perf.kernels", "query_distance_tile"),
+                ("repro.perf.delta", "_blocked_minima"),
+                ("repro.perf.delta", "query_candidate_min_tile"),
+            ),
+        }
+
+    def test_self_attribute_method_call_typed_from_init(self, src_index):
+        # self._miner = PushAdMiner(...) in __init__ types the attribute,
+        # so self._miner.run_verdict_stages(...) is a call-graph edge.
+        graph = src_index.callgraph()
+        assert ("repro.core.pipeline", "PushAdMiner.run_verdict_stages") in (
+            graph.successors(
+                ("repro.incremental.miner", "IncrementalMiner.absorb")
             )
-        ]
+        )
 
     def test_unresolved_externals_produce_no_edges(self, src_index):
         assert src_index.resolve_symbol("json.dumps") is None
@@ -118,6 +138,52 @@ class TestFixtureResolution:
         ]
         assert len(ships) == 1
         assert ships[0].target == ("purepkg.kernels", "impure_kernel")
+
+
+    def test_init_typed_attribute_is_a_ship_receiver_and_call_target(
+        self, tmp_path
+    ):
+        # An attribute typed only by the constructor __init__ assigns to
+        # it: a stream through it is a ship site, and a method call on it
+        # is a call-graph edge.
+        pkg = write_package(
+            tmp_path,
+            "attrpkg",
+            {
+                "plan": """
+                    class ExecutionPlan:
+                        def stream(self, kernel, operands, tiles):
+                            return [kernel(operands, t) for t in tiles]
+
+                        def tiles(self, n):
+                            return list(range(n))
+                    """,
+                "engine": """
+                    from attrpkg.plan import ExecutionPlan
+
+
+                    def kernel(operands, tile):
+                        return tile
+
+
+                    class Engine:
+                        def __init__(self):
+                            self._plan = ExecutionPlan()
+
+                        def run(self, n):
+                            tiles = self._plan.tiles(n)
+                            return self._plan.stream(kernel, None, tiles)
+                    """,
+            },
+        )
+        index = ProjectIndex.build([pkg])
+        run = ("attrpkg.engine", "Engine.run")
+        assert [
+            s.target for s in index.shipped_callables() if s.shipper == run
+        ] == [("attrpkg.engine", "kernel")]
+        assert ("attrpkg.plan", "ExecutionPlan.tiles") in (
+            index.callgraph().successors(run)
+        )
 
 
 class TestCallGraph:
