@@ -94,19 +94,6 @@ class CrawlStats:
             else:
                 self.live_deliveries += 1
 
-    def merge(self, other: "CrawlStats") -> None:
-        """Add another stats block's counters into this one."""
-        self.visited_urls += other.visited_urls
-        self.npr_urls += other.npr_urls
-        self.granted_urls += other.granted_urls
-        self.registered_sw_urls += other.registered_sw_urls
-        self.discovered_landing_urls += other.discovered_landing_urls
-        self.second_wave_urls += other.second_wave_urls
-        self.notifications_collected += other.notifications_collected
-        self.notifications_valid += other.notifications_valid
-        self.live_deliveries += other.live_deliveries
-        self.queued_deliveries += other.queued_deliveries
-
 
 @dataclass(frozen=True)
 class SessionJob:

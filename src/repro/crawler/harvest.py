@@ -16,19 +16,20 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.browser.network import NetworkRequest
 from repro.core.records import WpnRecord
 from repro.crawler.engine import CrawlEngine, CrawlStats, PlatformWave
-from repro.crawler.mobile import MobileCrawler
 from repro.crawler.seeds import SeedDiscovery, discover_seeds
 from repro.crawler.session import SessionResult
 from repro.obs import Tracer
 from repro.util.rng import RngFactory
 from repro.webenv.generator import WebEcosystem, generate_ecosystem
 from repro.webenv.scenario import ScenarioConfig
+from repro.webenv.website import Website
 
 
 @dataclass
@@ -106,10 +107,26 @@ def _record_platform_stats(span, stats: CrawlStats) -> None:
     span.gauge("queued_deliveries", stats.queued_deliveries)
 
 
+def select_mobile_sites(
+    ecosystem: WebEcosystem, discovery: SeedDiscovery, rng: random.Random
+) -> List[Website]:
+    """The NPR-site sample the single mobile device has capacity to monitor.
+
+    The paper ran one physical Nexus 5 (emulators get served fewer
+    malicious WPNs), which cannot parallelize like the Docker farm, so it
+    visits only ``mobile_visit_fraction`` of the sites the desktop crawl
+    saw prompt.
+    """
+    candidates = discovery.npr_sites()
+    count = int(round(len(candidates) * ecosystem.config.mobile_visit_fraction))
+    if count >= len(candidates):
+        return list(candidates)
+    return rng.sample(candidates, count)
+
+
 def run_full_crawl(
     config: Optional[ScenarioConfig] = None,
     ecosystem: Optional[WebEcosystem] = None,
-    run_mobile: bool = True,
     tracer: Optional[Tracer] = None,
     crawl_workers: int = 1,
     shard_size: Optional[int] = None,
@@ -136,20 +153,15 @@ def run_full_crawl(
             seed_span.gauge("seed_urls", discovery.total_urls)
             seed_span.gauge("npr_urls", discovery.total_nprs)
 
+        # The mobile sample is drawn from a named stream before any
+        # sharding, so it is worker-count independent.
+        mobile_sites = select_mobile_sites(
+            ecosystem, discovery, rngs.stream("mobile")
+        )
         waves = [
-            PlatformWave(platform="desktop", sites=tuple(discovery.seed_sites))
+            PlatformWave(platform="desktop", sites=tuple(discovery.seed_sites)),
+            PlatformWave(platform="mobile", sites=tuple(mobile_sites)),
         ]
-        if run_mobile:
-            # The single device only has capacity for a sample of the
-            # NPR sites; the sample itself is drawn from a named stream,
-            # before any sharding, so it is worker-count independent.
-            mobile = MobileCrawler(ecosystem, rngs.stream("mobile"))
-            waves.append(
-                PlatformWave(
-                    platform="mobile",
-                    sites=tuple(mobile.select_sites(discovery)),
-                )
-            )
 
         engine = CrawlEngine(
             ecosystem,
@@ -159,15 +171,12 @@ def run_full_crawl(
         )
         outcomes = engine.crawl(waves)
         desktop_stats = outcomes["desktop"].stats
-        mobile_stats = (
-            outcomes["mobile"].stats if run_mobile else CrawlStats()
-        )
+        mobile_stats = outcomes["mobile"].stats
 
         with tracer.span("crawl.desktop") as desktop_span:
             _record_platform_stats(desktop_span, desktop_stats)
-        if run_mobile:
-            with tracer.span("crawl.mobile") as mobile_span:
-                _record_platform_stats(mobile_span, mobile_stats)
+        with tracer.span("crawl.mobile") as mobile_span:
+            _record_platform_stats(mobile_span, mobile_stats)
 
         dataset = WpnDataset(
             ecosystem=ecosystem,
@@ -177,8 +186,7 @@ def run_full_crawl(
             mobile_stats=mobile_stats,
         )
         _collect(outcomes["desktop"].results, dataset)
-        if run_mobile:
-            _collect(outcomes["mobile"].results, dataset)
+        _collect(outcomes["mobile"].results, dataset)
         crawl_span.gauge("records", len(dataset.records))
         crawl_span.gauge("valid_records", len(dataset.valid_records))
         crawl_span.gauge("crawl_workers", crawl_workers)

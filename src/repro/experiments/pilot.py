@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.report import latency_report
-from repro.crawler.scheduler import CrawlScheduler
 from repro.crawler.seeds import discover_seeds
+from repro.crawler.session import ContainerSession
 from repro.util.rng import RngFactory
 from repro.webenv.generator import WebEcosystem
 
@@ -31,16 +31,16 @@ def run_latency_pilot(
     ecosystem: WebEcosystem, n_sites: int = 1425
 ) -> PilotResult:
     """Crawl up to ``n_sites`` prompting URLs and time their first WPN."""
-    rngs = RngFactory(ecosystem.config.seed).child("pilot")
-    rng = rngs.stream("sample")
+    rng = RngFactory(ecosystem.config.seed).child("pilot").stream("sample")
     discovery = discover_seeds(ecosystem)
     candidates = discovery.npr_sites()
     sample = candidates if len(candidates) <= n_sites else rng.sample(candidates, n_sites)
 
-    scheduler = CrawlScheduler(ecosystem, platform="desktop", rng=rngs.stream("crawl"))
     latencies: List[float] = []
     for site in sample:
-        result = scheduler._run_session(site, start_min=0.0, leads=None)
+        result = ContainerSession(
+            ecosystem=ecosystem, site=site, platform="desktop", start_min=0.0
+        ).run()
         if result.first_latency_min is not None:
             latencies.append(result.first_latency_min)
 

@@ -15,8 +15,8 @@ from repro.blocklists.base import UrlTruth
 from repro.blocklists.virustotal import VirusTotalModel
 from repro.core.pipeline import PipelineResult, PushAdMiner
 from repro.core.records import WpnRecord
+from repro.crawler.engine import CrawlEngine, PlatformWave
 from repro.crawler.harvest import WpnDataset
-from repro.crawler.scheduler import CrawlScheduler
 from repro.util.rng import RngFactory
 
 
@@ -47,8 +47,7 @@ def run_revisit_experiment(
     revisit — the paper saw 35 of 300 still active.
     """
     ecosystem = dataset.ecosystem
-    rngs = RngFactory(ecosystem.config.seed).child("revisit")
-    rng = rngs.stream("sample")
+    rng = RngFactory(ecosystem.config.seed).child("revisit").stream("sample")
 
     candidates = dataset.discovery.npr_sites()
     sample = candidates if len(candidates) <= n_sites else rng.sample(candidates, n_sites)
@@ -63,10 +62,8 @@ def run_revisit_experiment(
     original_config = ecosystem.config
     ecosystem.config = short_config
     try:
-        scheduler = CrawlScheduler(
-            ecosystem, platform="desktop", rng=rngs.stream("crawl")
-        )
-        results = scheduler.crawl(revisit_sites)
+        wave = PlatformWave(platform="desktop", sites=tuple(revisit_sites))
+        results = CrawlEngine(ecosystem).crawl([wave])["desktop"].results
     finally:
         ecosystem.config = original_config
 

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.crawler.harvest import run_full_crawl
-from repro.crawler.scheduler import CrawlScheduler
-from repro.util.rng import RngFactory
 
 
 class TestScheduler:
@@ -19,12 +17,6 @@ class TestScheduler:
             assert stats.granted_urls == stats.npr_urls  # auto-grant
             assert stats.registered_sw_urls <= stats.npr_urls
             assert stats.notifications_valid <= stats.notifications_collected
-
-    def test_invalid_platform(self, small_ecosystem):
-        with pytest.raises(ValueError):
-            CrawlScheduler(
-                small_ecosystem, platform="vr", rng=RngFactory(1).stream("x")
-            )
 
 
 class TestHarvest:
@@ -65,11 +57,6 @@ class TestHarvest:
     def test_requires_config_or_ecosystem(self):
         with pytest.raises(ValueError):
             run_full_crawl()
-
-    def test_run_without_mobile(self, small_config):
-        dataset = run_full_crawl(config=small_config, run_mobile=False)
-        assert dataset.records_for("mobile") == []
-        assert dataset.records_for("desktop")
 
     def test_sw_requests_from_both_platforms(self, small_dataset):
         assert small_dataset.sw_requests

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import paper_scenario, run_full_crawl
-from repro.crawler.scheduler import CrawlScheduler
+from repro.crawler.engine import CrawlEngine, PlatformWave
+from repro.crawler.harvest import select_mobile_sites
 from repro.crawler.seeds import discover_seeds
 from repro.util.rng import RngFactory
 from repro.webenv.generator import generate_ecosystem
@@ -39,12 +40,9 @@ class TestSecondWave:
             assert ecosystem.landing_prompts("stable-probe.xyz") == first
 
     def test_second_wave_sites_marked(self, small_ecosystem):
-        scheduler = CrawlScheduler(
-            small_ecosystem, platform="desktop",
-            rng=RngFactory(77).stream("sw"),
-        )
         discovery = discover_seeds(small_ecosystem)
-        results = scheduler.crawl(discovery.npr_sites()[:40])
+        wave = PlatformWave("desktop", tuple(discovery.npr_sites()[:40]))
+        results = CrawlEngine(small_ecosystem).crawl([wave])["desktop"].results
         second_wave = [
             r for r in results if r.site.discovered_via_click
         ]
@@ -55,20 +53,16 @@ class TestSecondWave:
 
 class TestEmulatedMobileCrawl:
     def test_emulator_crawl_sees_less_abuse(self):
-        from repro.crawler.mobile import MobileCrawler
-        from repro.crawler.seeds import discover_seeds
-
         ecosystem = generate_ecosystem(paper_scenario(seed=31, scale=0.03))
         discovery = discover_seeds(ecosystem)
 
         def malicious_share(real_device):
-            crawler = MobileCrawler(
-                ecosystem, RngFactory(31).stream(f"mob-{real_device}"),
-                real_device=real_device,
+            sites = select_mobile_sites(
+                ecosystem, discovery, RngFactory(31).stream(f"mob-{real_device}")
             )
-            records = [
-                r for result in crawler.crawl(discovery) for r in result.records
-            ]
+            wave = PlatformWave("mobile", tuple(sites), emulated=not real_device)
+            outcome = CrawlEngine(ecosystem).crawl([wave])["mobile"]
+            records = [r for result in outcome.results for r in result.records]
             ads = [r for r in records if r.truth.kind == "ad"]
             if not ads:
                 return 0.0
