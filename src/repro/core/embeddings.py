@@ -1,16 +1,10 @@
-"""Word embedding trainers for the soft-cosine term-similarity matrix.
+"""Word embeddings for the soft-cosine term-similarity matrix.
 
-Two interchangeable backends:
-
-* :class:`PpmiSvdEmbeddings` — positive PMI over message-level
-  co-occurrence, factorized with truncated SVD. The count-based equivalent
-  of word2vec's SGNS objective (Levy & Goldberg, 2014); fast and exactly
-  deterministic. This is the default backend.
-* :class:`SgnsEmbeddings` — an actual skip-gram-with-negative-sampling
-  trainer (the algorithm behind the paper's gensim Word2Vec), implemented
-  with vectorized numpy SGD. Deterministic for a fixed seed.
-
-Both produce row-normalized ``(vocabulary, embeddings)`` pairs that
+The paper trains gensim's Word2Vec (skip-gram with negative sampling).
+:class:`PpmiSvdEmbeddings` trains its count-based equivalent (Levy &
+Goldberg, 2014): positive PMI over message-level co-occurrence, factorized
+with truncated SVD. It is fast and exactly deterministic, and it yields the
+row-normalized ``(vocabulary, embeddings)`` pair that
 :class:`repro.core.textsim.SoftCosineModel` consumes.
 """
 
@@ -46,7 +40,7 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 class PpmiSvdEmbeddings:
-    """PPMI + truncated SVD embeddings (default backend)."""
+    """PPMI + truncated SVD embeddings."""
 
     def __init__(self, dimensions: int = 48, min_count: int = 1):
         if dimensions < 2:
@@ -125,121 +119,3 @@ class PpmiSvdEmbeddings:
         out.eliminate_zeros()
         return out
 
-
-class SgnsEmbeddings:
-    """Skip-gram with negative sampling (word2vec), vectorized numpy SGD.
-
-    The context window is the whole message (WPN texts are short), matching
-    how the co-occurrence backend counts. Negative samples come from the
-    smoothed unigram distribution (exponent 0.75), as in word2vec.
-    """
-
-    def __init__(
-        self,
-        dimensions: int = 48,
-        min_count: int = 1,
-        negatives: int = 5,
-        epochs: int = 3,
-        learning_rate: float = 0.05,
-        seed: int = 0,
-    ):
-        if dimensions < 2:
-            raise ValueError("dimensions must be >= 2")
-        if negatives < 1:
-            raise ValueError("negatives must be >= 1")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        self.dimensions = dimensions
-        self.min_count = min_count
-        self.negatives = negatives
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.seed = seed
-
-    def fit(
-        self, corpus: Sequence[Sequence[str]]
-    ) -> Tuple[Dict[str, int], np.ndarray]:
-        vocabulary = build_vocabulary(corpus, self.min_count)
-        v = len(vocabulary)
-        if v == 0:
-            return vocabulary, np.zeros((0, self.dimensions))
-
-        centers, contexts = self._positive_pairs(corpus, vocabulary)
-        rng = np.random.default_rng(self.seed)
-        if len(centers) == 0:
-            return vocabulary, _normalize_rows(
-                rng.normal(scale=0.1, size=(v, self.dimensions))
-            )
-
-        # Smoothed unigram distribution for negative sampling.
-        counts = np.zeros(v)
-        for tokens in corpus:
-            for token in tokens:
-                idx = vocabulary.get(token)
-                if idx is not None:
-                    counts[idx] += 1
-        noise = counts ** 0.75
-        noise /= noise.sum()
-
-        w_in = rng.normal(scale=0.5 / self.dimensions, size=(v, self.dimensions))
-        w_out = np.zeros((v, self.dimensions))
-
-        n_pairs = len(centers)
-        for epoch in range(self.epochs):
-            order = rng.permutation(n_pairs)
-            lr = self.learning_rate * (1.0 - epoch / self.epochs * 0.5)
-            for start in range(0, n_pairs, 512):
-                batch = order[start : start + 512]
-                c = centers[batch]
-                o = contexts[batch]
-                negs = rng.choice(v, size=(len(batch), self.negatives), p=noise)
-                self._sgd_step(w_in, w_out, c, o, negs, lr)
-        return vocabulary, _normalize_rows(w_in)
-
-    @staticmethod
-    def _positive_pairs(
-        corpus: Sequence[Sequence[str]], vocabulary: Dict[str, int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        centers: List[int] = []
-        contexts: List[int] = []
-        for tokens in corpus:
-            ids = [vocabulary[t] for t in tokens if t in vocabulary]
-            for i, a in enumerate(ids):
-                for j, b in enumerate(ids):
-                    if i != j:
-                        centers.append(a)
-                        contexts.append(b)
-        return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
-
-    def _sgd_step(
-        self,
-        w_in: np.ndarray,
-        w_out: np.ndarray,
-        centers: np.ndarray,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-        lr: float,
-    ) -> None:
-        """One vectorized SGNS update over a batch of (center, pos, negs)."""
-        vin = w_in[centers]                                   # (b, d)
-        vpos = w_out[positives]                               # (b, d)
-        vneg = w_out[negatives]                               # (b, k, d)
-
-        pos_score = 1.0 / (1.0 + np.exp(-np.clip((vin * vpos).sum(1), -30, 30)))
-        neg_score = 1.0 / (
-            1.0 + np.exp(-np.clip(np.einsum("bd,bkd->bk", vin, vneg), -30, 30))
-        )
-
-        grad_pos = (pos_score - 1.0)[:, None] * vin           # (b, d)
-        grad_neg = neg_score[:, :, None] * vin[:, None, :]    # (b, k, d)
-        grad_in = (pos_score - 1.0)[:, None] * vpos + np.einsum(
-            "bk,bkd->bd", neg_score, vneg
-        )
-
-        np.add.at(w_in, centers, -lr * grad_in)
-        np.add.at(w_out, positives, -lr * grad_pos)
-        np.add.at(
-            w_out,
-            negatives.ravel(),
-            -lr * grad_neg.reshape(-1, w_out.shape[1]),
-        )

@@ -5,10 +5,9 @@ matrix, and feeds it with bag-of-words vectors into gensim's
 ``softcossim``. Offline we implement the same measure from first
 principles:
 
-* word embeddings — a pluggable backend (see
-  :mod:`repro.core.embeddings`): PPMI + truncated SVD by default (the
-  count-based equivalent of word2vec's SGNS objective), or an actual SGNS
-  trainer;
+* word embeddings — PPMI + truncated SVD (see
+  :mod:`repro.core.embeddings`), the count-based equivalent of word2vec's
+  SGNS objective;
 * term similarity — cosine between word embeddings;
 * soft cosine — the bilinear form ``a'Sb / sqrt(a'Sa * b'Sb)``. With
   ``S = E E'`` (row-normalized embeddings) this reduces to the cosine of
@@ -22,29 +21,23 @@ final similarity blends the soft cosine with the exact bag-of-words cosine
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.embeddings import PpmiSvdEmbeddings, SgnsEmbeddings
+from repro.core.embeddings import PpmiSvdEmbeddings
 from repro.perf import Tile, soft_cosine_similarity_tile, text_distance_tile
 
 
 class SoftCosineModel:
-    """Trains embeddings on a token corpus; yields pairwise text distances.
-
-    ``backend`` selects the embedding trainer: ``"ppmi-svd"`` (default),
-    ``"sgns"`` (word2vec-style), or any object with a
-    ``fit(corpus) -> (vocabulary, embeddings)`` method.
-    """
+    """Trains embeddings on a token corpus; yields pairwise text distances."""
 
     def __init__(
         self,
         dimensions: int = 48,
         blend: float = 0.5,
         min_count: int = 1,
-        backend: Union[str, object] = "ppmi-svd",
     ):
         if not 0.0 <= blend <= 1.0:
             raise ValueError("blend must be in [0, 1]")
@@ -53,18 +46,8 @@ class SoftCosineModel:
         self.dimensions = dimensions
         self.blend = blend
         self.min_count = min_count
-        self.backend = self._resolve_backend(backend)
         self.vocabulary: Dict[str, int] = {}
         self.embeddings: np.ndarray = np.zeros((0, dimensions))
-
-    def _resolve_backend(self, backend: Union[str, object]):
-        if backend == "ppmi-svd":
-            return PpmiSvdEmbeddings(self.dimensions, self.min_count)
-        if backend == "sgns":
-            return SgnsEmbeddings(self.dimensions, self.min_count)
-        if hasattr(backend, "fit"):
-            return backend
-        raise ValueError(f"unknown embedding backend: {backend!r}")
 
     @property
     def is_fitted(self) -> bool:
@@ -74,18 +57,10 @@ class SoftCosineModel:
     def clone(self) -> "SoftCosineModel":
         """An unfitted copy sharing this model's hyperparameters.
 
-        The embedding backend object is reused — backends are stateless
-        between :meth:`fit` calls — so cloning is O(1) and the clone trains
-        to exactly the numbers the original would have.
+        Training is deterministic, so the clone trains to exactly the
+        numbers the original would have.
         """
-        clone = SoftCosineModel.__new__(SoftCosineModel)
-        clone.dimensions = self.dimensions
-        clone.blend = self.blend
-        clone.min_count = self.min_count
-        clone.backend = self.backend
-        clone.vocabulary = {}
-        clone.embeddings = np.zeros((0, self.dimensions))
-        return clone
+        return SoftCosineModel(self.dimensions, self.blend, self.min_count)
 
     # ------------------------------------------------------------------
     # Training
@@ -96,7 +71,9 @@ class SoftCosineModel:
         Co-occurrence is counted at message level (WPN messages are short,
         so the whole message is the context window).
         """
-        self.vocabulary, self.embeddings = self.backend.fit(corpus)
+        self.vocabulary, self.embeddings = PpmiSvdEmbeddings(
+            self.dimensions, self.min_count
+        ).fit(corpus)
         return self
 
     # ------------------------------------------------------------------

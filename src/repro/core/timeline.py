@@ -10,7 +10,7 @@ suspend/resume queue drains rather than the live window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.records import WpnRecord
 from repro.util.stats import safe_ratio
@@ -106,45 +106,4 @@ def timeline_report(
         bucket_minutes=bucket_minutes,
         queued_deliveries=queued,
         live_deliveries=live,
-    )
-
-
-# ----------------------------------------------------------------------
-# Landing-domain turnover (blocklist-evasion footprint)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DomainTurnover:
-    """How a set of related WPNs rotated through landing domains."""
-
-    n_messages: int
-    n_domains: int
-    n_switches: int            # consecutive-message domain changes
-    span_min: float            # time between first and last message
-
-    @property
-    def switches_per_message(self) -> float:
-        return safe_ratio(self.n_switches, max(self.n_messages - 1, 1))
-
-
-def domain_turnover(records: Sequence[WpnRecord]) -> DomainTurnover:
-    """Measure landing-domain rotation across related WPNs over time.
-
-    Sorts the records by send time and counts how often the landing
-    eTLD+1 changes between consecutive messages — the observable footprint
-    of the evasion behaviour the paper describes ("similar malicious WPN
-    messages often lead to different domain names ... to evade blocking").
-    """
-    timed = sorted(
-        (r for r in records if r.valid and r.landing_etld1),
-        key=lambda r: r.sent_at_min,
-    )
-    if not timed:
-        return DomainTurnover(0, 0, 0, 0.0)
-    domains = [r.landing_etld1 for r in timed]
-    switches = sum(1 for a, b in zip(domains, domains[1:]) if a != b)
-    return DomainTurnover(
-        n_messages=len(timed),
-        n_domains=len(set(domains)),
-        n_switches=switches,
-        span_min=timed[-1].sent_at_min - timed[0].sent_at_min,
     )

@@ -1,14 +1,9 @@
-"""Tests for the embedding backends (PPMI-SVD and SGNS)."""
+"""Tests for the PPMI-SVD word embeddings."""
 
 import numpy as np
 import pytest
 
-from repro.core.embeddings import (
-    PpmiSvdEmbeddings,
-    SgnsEmbeddings,
-    build_vocabulary,
-)
-from repro.core.textsim import SoftCosineModel
+from repro.core.embeddings import PpmiSvdEmbeddings, build_vocabulary
 
 CORPUS = [
     ["win", "prize", "claim", "now"],
@@ -47,58 +42,3 @@ class TestPpmiSvd:
         with pytest.raises(ValueError):
             PpmiSvdEmbeddings(dimensions=1)
 
-
-class TestSgns:
-    def test_shapes_and_norms(self):
-        vocab, emb = SgnsEmbeddings(dimensions=8, epochs=2, seed=1).fit(CORPUS)
-        assert emb.shape == (len(vocab), 8)
-        assert np.allclose(np.linalg.norm(emb, axis=1), 1.0)
-
-    def test_deterministic(self):
-        a = SgnsEmbeddings(dimensions=8, seed=5).fit(CORPUS)[1]
-        b = SgnsEmbeddings(dimensions=8, seed=5).fit(CORPUS)[1]
-        assert np.allclose(a, b)
-
-    def test_seed_changes_embeddings(self):
-        a = SgnsEmbeddings(dimensions=8, seed=1).fit(CORPUS)[1]
-        b = SgnsEmbeddings(dimensions=8, seed=2).fit(CORPUS)[1]
-        assert not np.allclose(a, b)
-
-    def test_cooccurring_words_closer_than_unrelated(self):
-        vocab, emb = SgnsEmbeddings(dimensions=8, epochs=5, seed=3).fit(CORPUS)
-        win, prize, storm = emb[vocab["win"]], emb[vocab["prize"]], emb[vocab["storm"]]
-        assert win @ prize > win @ storm
-
-    def test_empty(self):
-        vocab, emb = SgnsEmbeddings().fit([])
-        assert vocab == {} and emb.shape[0] == 0
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            SgnsEmbeddings(negatives=0)
-        with pytest.raises(ValueError):
-            SgnsEmbeddings(epochs=0)
-
-
-class TestBackendSelection:
-    def test_sgns_backend_in_soft_cosine(self):
-        model = SoftCosineModel(dimensions=8, backend="sgns").fit(CORPUS)
-        sim = model.similarity_matrix(CORPUS)
-        assert sim.shape == (len(CORPUS), len(CORPUS))
-        assert sim[0, 1] > sim[0, 3]  # prize messages closer than weather
-
-    def test_custom_backend_object(self):
-        model = SoftCosineModel(
-            dimensions=8, backend=SgnsEmbeddings(dimensions=8, seed=9)
-        ).fit(CORPUS)
-        assert model.embeddings.shape[1] == 8
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SoftCosineModel(backend="glove")
-
-    def test_backends_agree_on_identical_docs(self):
-        for backend in ("ppmi-svd", "sgns"):
-            model = SoftCosineModel(dimensions=8, backend=backend).fit(CORPUS)
-            sim = model.similarity_matrix(CORPUS)
-            assert sim[0, 7] == pytest.approx(1.0, abs=1e-9)  # same doc repeated

@@ -59,47 +59,3 @@ class TestTimelineReport:
         report = timeline_report(records, bucket_minutes=1440.0)
         assert report.peak_bucket().total == 5
 
-
-class TestDomainTurnover:
-    def test_empty(self):
-        from repro.core.timeline import domain_turnover
-
-        turnover = domain_turnover([])
-        assert turnover.n_messages == 0
-        assert turnover.switches_per_message == 0.0
-
-    def test_counts_switches(self):
-        from repro.core.timeline import domain_turnover
-
-        records = [
-            make_record(wpn_id="a", sent_at_min=1.0, shown_at_min=2.0,
-                        landing_url="https://one.xyz/p"),
-            make_record(wpn_id="b", sent_at_min=2.0, shown_at_min=3.0,
-                        landing_url="https://one.xyz/p"),
-            make_record(wpn_id="c", sent_at_min=3.0, shown_at_min=4.0,
-                        landing_url="https://two.club/p"),
-        ]
-        turnover = domain_turnover(records)
-        assert turnover.n_domains == 2
-        assert turnover.n_switches == 1
-        assert turnover.span_min == 2.0
-
-    def test_malicious_campaigns_rotate_more(self, small_result):
-        """The evasion footprint: malicious campaign clusters cycle landing
-        domains far more than benign ones."""
-        from repro.core.timeline import domain_turnover
-
-        truth_mal, truth_ben = [], []
-        for cluster in small_result.clusters:
-            if cluster.cluster_id not in small_result.campaign_cluster_ids:
-                continue
-            if len(cluster) < 3:
-                continue
-            turnover = domain_turnover(cluster.records)
-            if any(r.truth.malicious for r in cluster.records):
-                truth_mal.append(turnover.switches_per_message)
-            else:
-                truth_ben.append(turnover.switches_per_message)
-        if truth_mal and truth_ben:
-            mean = lambda xs: sum(xs) / len(xs)
-            assert mean(truth_mal) > mean(truth_ben)
