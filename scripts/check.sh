@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The single pre-merge gate: pushlint + mypy (when installed) + tier-1
-# pytest + crawl/DetSan smokes + a DetSan pytest run + the end-to-end
-# benchmark's own tests.
+# pytest + the paper benchmarks + crawl/DetSan smokes + a DetSan pytest run
+# + the end-to-end benchmark's own tests.
 # Usage: scripts/check.sh [extra pytest args...]
 set -u -o pipefail
 
@@ -68,11 +68,17 @@ step "mypy (strict: repro.util, repro.analysis)"
 if python -c "import mypy" >/dev/null 2>&1; then
     python -m mypy src/repro/util src/repro/analysis || failures=$((failures + 1))
 else
-    echo "mypy not installed; skipping (config lives in pyproject.toml)"
+    echo "mypy not installed: NOT RUN. This step checked nothing and is not"
+    echo "coverage; the strictness ratchet in pyproject.toml is unenforced here."
 fi
 
 step "tier-1 pytest (DeprecationWarning is an error)"
 python -m pytest -x -q -W error::DeprecationWarning "$@" || failures=$((failures + 1))
+
+# The paper's tables, figures and experiments (pilot, revisit, crawl
+# design, ...) against their paper-shape assertions, untimed.
+step "paper benchmarks (python -m pytest -q benchmarks --benchmark-disable)"
+python -m pytest -q benchmarks --benchmark-disable || failures=$((failures + 1))
 
 step "crawl smoke (crawl_workers=2 byte-identity at scale 0.015)"
 python - <<'PYEOF' || failures=$((failures + 1))
