@@ -18,8 +18,6 @@ import argparse
 from repro import generate_ecosystem, paper_scenario
 from repro.crawler.seeds import discover_seeds
 from repro.crawler.session import ContainerSession
-from repro.push.fcm import FcmService
-from repro.util.rng import RngFactory
 
 
 def main() -> None:
@@ -42,12 +40,7 @@ def main() -> None:
           f"on {platform}\n")
 
     session = ContainerSession(
-        ecosystem=ecosystem,
-        fcm=FcmService(),
-        site=site,
-        platform=platform,
-        rng=RngFactory(args.seed).stream("trace"),
-        start_min=0.0,
+        ecosystem=ecosystem, site=site, platform=platform, start_min=0.0
     )
     result = session.run()
 

@@ -16,7 +16,7 @@ that coverage profile against the generated ecosystem:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.adblock.rules import FilterList
 

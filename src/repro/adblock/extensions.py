@@ -9,8 +9,8 @@ has rules for, and *zero* SW-initiated ones, regardless of its list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.adblock.rules import FilterList
 from repro.browser.network import NetworkRequest

@@ -17,8 +17,8 @@ notifications at all, which is part of the paper's point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from repro.util.urls import Url
 

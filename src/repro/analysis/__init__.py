@@ -4,7 +4,7 @@ The validity of the whole repo rests on the DESIGN.md claim that every live
 dependency of PushAdMiner is replaced by a *deterministic* simulator. This
 package machine-checks the invariants that claim depends on — no wall-clock
 reads, no unseeded RNG, no network imports, a clean package DAG — plus a
-few hygiene rules, with per-line suppression and a ratcheting baseline.
+few hygiene rules, with per-line suppression.
 
 Run it as ``python -m repro.analysis src/repro`` (see docs/ANALYSIS.md),
 or programmatically::
@@ -30,19 +30,13 @@ every order the codebase promises not to depend on and checksums kernel
 outputs (see docs/ANALYSIS.md).
 
 ``repro.analysis`` sits near the bottom of the package DAG: its only
-repro dependency is ``repro.perf`` (the cold parse fans out over an
-``ExecutionPlan``, and DetSan hooks it), so it can judge every other
-layer without being entangled with any.
+repro dependency is ``repro.perf`` (DetSan hooks its ``ExecutionPlan``),
+so it can judge every other layer without being entangled with any.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisEngine, AnalysisResult, iter_python_files
 from repro.analysis.finding import Finding, Severity
-from repro.analysis.flow import (
-    ProjectIndex,
-    SummaryCache,
-    run_flow,
-)
+from repro.analysis.flow import ProjectIndex, run_flow
 from repro.analysis.flow.run import FlowResult
 from repro.analysis.rules import (
     ALL_RULES,
@@ -58,7 +52,6 @@ __all__ = [
     "FLOW_RULE_IDS",
     "AnalysisEngine",
     "AnalysisResult",
-    "Baseline",
     "Finding",
     "FlowResult",
     "ModuleSource",
@@ -66,7 +59,6 @@ __all__ = [
     "Rule",
     "Severity",
     "SourceError",
-    "SummaryCache",
     "default_rules",
     "iter_python_files",
     "run_flow",

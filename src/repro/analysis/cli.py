@@ -1,7 +1,8 @@
 """The pushlint command line: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 = clean (or everything suppressed/baselined), 1 = findings at
-or above ``--fail-on``, 2 = usage error (bad rule id, broken baseline...).
+Exit codes: 0 = clean (every finding suppressed inline, or none), 1 = any
+finding, whatever its severity, 2 = usage error (bad rule id, missing
+path...).
 """
 
 from __future__ import annotations
@@ -11,16 +12,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisEngine
-from repro.analysis.finding import Finding, Severity
-from repro.analysis.flow import SummaryCache, run_flow
+from repro.analysis.finding import Finding
+from repro.analysis.flow import run_flow
 from repro.analysis.flow.run import FlowResult
 from repro.analysis.reporters import format_human, format_json
 from repro.analysis.rules import FlowRule, rules_by_id, select_rules
-
-DEFAULT_BASELINE = "pushlint-baseline.json"
-DEFAULT_FLOW_CACHE = ".pushlint-cache.json"
 
 
 def _split_ids(values: "List[str] | None") -> List[str]:
@@ -51,21 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: human)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--select",
         action="append",
         metavar="RULES",
@@ -76,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULES",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--fail-on",
-        default="info",
-        metavar="SEVERITY",
-        help="minimum severity that causes exit 1 (info|warning|error)",
     )
     parser.add_argument(
         "--list-rules",
@@ -99,31 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(flow-dense-alloc) and tie-unstable sorts "
             "(flow-unstable-order)"
         ),
-    )
-    parser.add_argument(
-        "--flow-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "parallelize the cold --flow parse over N worker processes "
-            "(bit-identical output; default: 1)"
-        ),
-    )
-    parser.add_argument(
-        "--flow-cache",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "content-hash summary cache for --flow "
-            f"(default: {DEFAULT_FLOW_CACHE})"
-        ),
-    )
-    parser.add_argument(
-        "--no-flow-cache",
-        action="store_true",
-        help="run --flow without reading or writing the summary cache",
     )
     parser.add_argument(
         "--explain",
@@ -154,7 +105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        fail_on = Severity.parse(args.fail_on)
         rules = select_rules(_split_ids(args.select), _split_ids(args.ignore))
     except ValueError as exc:
         print(f"pushlint: error: {exc}", file=sys.stderr)
@@ -175,60 +125,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"pushlint: error: no such path: {path}", file=sys.stderr)
             return 2
 
-    baseline_path = args.baseline or Path(DEFAULT_BASELINE)
-    try:
-        baseline = Baseline.load(baseline_path) if not args.write_baseline else Baseline()
-    except ValueError as exc:
-        print(f"pushlint: error: {exc}", file=sys.stderr)
-        return 2
-
-    engine = AnalysisEngine(rules=rules, baseline=baseline)
-    result = engine.run(paths)
+    result = AnalysisEngine(rules=rules).run(paths)
 
     if args.flow or args.explain:
         flow_ids = [rule.id for rule in rules if isinstance(rule, FlowRule)]
-        cache: Optional[SummaryCache] = None
-        if not args.no_flow_cache:
-            cache = SummaryCache(args.flow_cache or Path(DEFAULT_FLOW_CACHE))
-        if args.flow_workers < 1:
-            print(
-                "pushlint: error: --flow-workers must be >= 1",
-                file=sys.stderr,
-            )
-            return 2
-        flow_result = run_flow(
-            paths,
-            rule_ids=flow_ids,
-            cache=cache,
-            workers=args.flow_workers,
-        )
-        if cache is not None:
-            try:
-                cache.save()
-            except OSError:
-                pass  # read-only checkouts still get the analysis
+        flow_result = run_flow(paths, rule_ids=flow_ids)
         if args.explain:
             return _explain(args.explain, flow_result)
-        active, flow_baselined = baseline.split(flow_result.findings)
-        result.findings = sorted([*result.findings, *active])
+        result.findings = sorted([*result.findings, *flow_result.findings])
         result.suppressed += flow_result.suppressed
-        result.baselined += flow_baselined
         result.flow_stats = flow_result.stats
 
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"pushlint: wrote {len(result.findings)} finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-
     print(format_json(result) if args.format == "json" else format_human(result))
-
-    worst = result.max_severity()
-    if worst is not None and worst >= fail_on:
-        return 1
-    return 0
+    return 0 if result.ok else 1
 
 
 def _matches(finding: Finding, query: str) -> bool:

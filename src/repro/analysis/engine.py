@@ -1,4 +1,4 @@
-"""The pushlint engine: walk files, run rules, apply suppressions/baseline."""
+"""The pushlint engine: walk files, run rules, apply inline suppressions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.rules import Rule, default_rules
 from repro.analysis.source import ModuleSource, SourceError
@@ -21,19 +20,15 @@ class AnalysisResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_checked: int = 0
     rule_ids: Tuple[str, ...] = ()
     # Whole-program pass statistics, set when the CLI ran with --flow
-    # (see repro.analysis.flow): modules indexed / parsed / cache hits.
+    # (see repro.analysis.flow): modules indexed.
     flow_stats: Optional[Dict[str, int]] = None
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def max_severity(self) -> Optional[Severity]:
-        return max((f.severity for f in self.findings), default=None)
 
     def counts_by_rule(self) -> List[Tuple[str, int]]:
         counts: Dict[str, int] = {}
@@ -72,13 +67,8 @@ def _skipped(path: Path) -> bool:
 class AnalysisEngine:
     """Runs a set of rules over modules and files."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
-    ):
+    def __init__(self, rules: Optional[Sequence[Rule]] = None):
         self.rules: List[Rule] = list(rules) if rules is not None else default_rules()
-        self.baseline = baseline or Baseline()
 
     # ------------------------------------------------------------------
     # Single-module checking (also the unit-test entry point)
@@ -121,8 +111,7 @@ class AnalysisEngine:
             findings, suppressed = self.check_source(src)
             raw.extend(findings)
             result.suppressed += suppressed
-        active, result.baselined = self.baseline.split(raw)
-        result.findings = sorted(active)
+        result.findings = sorted(raw)
         return result
 
 
@@ -147,8 +136,8 @@ def _project_root(start: Path) -> Optional[Path]:
 def _display_path(path: Path) -> str:
     """Repo-root-relative display path, stable across invocation CWDs.
 
-    Finding paths feed baseline fingerprints and suppression review, so
-    they must not depend on where pushlint was launched from. Resolve
+    Finding paths feed the finding fingerprints and suppression review,
+    so they must not depend on where pushlint was launched from. Resolve
     against the containing project root (pyproject/setup/.git marker);
     only paths outside any project fall back to CWD-relative/absolute.
     """

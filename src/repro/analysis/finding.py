@@ -5,11 +5,14 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 
 class Severity(enum.IntEnum):
-    """Ordered severity levels; comparisons follow the integer value."""
+    """How bad a finding is: the label printed beside it.
+
+    Every finding fails the gate alike, whatever its severity.
+    """
 
     INFO = 10
     WARNING = 20
@@ -19,26 +22,15 @@ class Severity(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def parse(cls, text: Union[str, "Severity"]) -> "Severity":
-        if isinstance(text, Severity):
-            return text
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {text!r}; expected one of "
-                f"{', '.join(s.label for s in cls)}"
-            ) from None
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one location.
 
     ``source_line`` carries the stripped text of the offending line; the
-    baseline fingerprint hashes it instead of the line *number* so that
-    unrelated edits above a baselined finding do not un-baseline it.
+    fingerprint hashes it instead of the line *number* so that unrelated
+    edits above a finding do not change its identity (``--explain`` takes
+    a fingerprint prefix).
 
     ``chain`` is set by the whole-program flow passes: the source-to-sink
     call chain, one ``"qualname (path:line)"`` hop per element, ending at
@@ -56,7 +48,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number independent)."""
+        """Stable identity of the finding (line-number independent)."""
         payload = f"{self.rule_id}|{self.path}|{self.source_line}"
         return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 

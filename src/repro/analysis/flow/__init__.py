@@ -7,9 +7,8 @@ it, or the kernel that ships it into a worker process. This package adds
 the interprocedural layer:
 
 * :class:`~repro.analysis.flow.index.ProjectIndex` — parses the project
-  once (content-hash cached), resolves imports (including re-export
-  ``__getattr__`` shims) into a symbol table, and builds a conservative
-  call graph;
+  once, resolves imports (including package re-exports) into a symbol
+  table, and builds a conservative call graph;
 * :class:`~repro.analysis.flow.taint.NondetTaintPass`
   (rule ``flow-nondet-taint``) — propagates nondeterminism sources along
   the call graph and reports them at emit/report/serialization sinks and
@@ -36,7 +35,6 @@ Run all of them via ``python -m repro.analysis --flow`` or
 :func:`run_flow`.
 """
 
-from repro.analysis.flow.cache import SummaryCache, ruleset_fingerprint
 from repro.analysis.flow.dense import DenseAllocPass
 from repro.analysis.flow.index import CallGraph, ProjectIndex
 from repro.analysis.flow.ordering import UnstableOrderPass
@@ -58,8 +56,6 @@ __all__ = [
     "ParallelPurityPass",
     "ProjectIndex",
     "SharedStateRacePass",
-    "SummaryCache",
     "UnstableOrderPass",
-    "ruleset_fingerprint",
     "run_flow",
 ]

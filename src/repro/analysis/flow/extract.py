@@ -103,8 +103,6 @@ class _ModuleExtractor:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = self._extract_function(node, class_name=None)
                 summary.functions[fn.qualname] = fn
-                if node.name == "__getattr__":
-                    summary.getattr_forward = self._getattr_forward(node)
             elif isinstance(node, ast.ClassDef):
                 cls = ClassSummary(name=node.name, line=node.lineno)
                 attr_types = self._init_attr_types(node)
@@ -208,26 +206,6 @@ class _ModuleExtractor:
                     for name in _bound_names(target):
                         self.module_names.add(name)
                         self.module_data.add(name)
-
-    def _getattr_forward(self, node: ast.FunctionDef) -> Optional[str]:
-        """Target module of a ``__getattr__`` re-export shim, if any.
-
-        Detects the canonical shim shape: a ``getattr(X, name)`` call where
-        ``X`` is an imported module — e.g. ``return getattr(_real, name)``
-        in a module-level ``__getattr__``. (No such shim remains under
-        ``src/repro``; synthetic fixtures keep this path covered.)
-        """
-        for inner in ast.walk(node):
-            if not (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)):
-                continue
-            if inner.func.id != "getattr" or len(inner.args) < 2:
-                continue
-            target = inner.args[0]
-            if isinstance(target, ast.Name):
-                origin = self.imports.get(target.id)
-                if origin is not None:
-                    return origin
-        return None
 
     # ------------------------------------------------------------------
     # Function level

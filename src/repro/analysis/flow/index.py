@@ -1,13 +1,11 @@
 """The whole-program index: every module summary plus symbol resolution.
 
-A :class:`ProjectIndex` parses the project once (through the optional
-content-hash :class:`~repro.analysis.flow.cache.SummaryCache`), then
-answers the two questions the passes ask:
+A :class:`ProjectIndex` parses the project once, then answers the two
+questions the passes ask:
 
 * ``resolve_symbol(ref)`` — which project function/class does a dotted
   reference denote, following import chains, package ``__init__``
-  re-exports, ``__getattr__`` re-export shims, and (for methods) base
-  classes;
+  re-exports and (for methods) base classes;
 * ``callgraph()`` — the conservative call graph over resolved call sites.
 
 Unresolvable references (externals like ``numpy``, dynamic dispatch the
@@ -23,47 +21,18 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import _display_path, iter_python_files
-from repro.analysis.flow.cache import SummaryCache, content_hash
 from repro.analysis.flow.extract import extract_module
 from repro.analysis.flow.summary import (
     FunctionSummary,
     ModuleSummary,
     ShipSite,
 )
-from repro.analysis.source import ModuleSource, SourceError, module_name_for
-from repro.perf.plan import ExecutionPlan, Tile
+from repro.analysis.source import ModuleSource, SourceError
 
 #: A function's identity: ``(dotted module, qualname-within-module)``.
 FuncKey = Tuple[str, str]
 
 _MAX_RESOLVE_DEPTH = 16
-
-#: Files per parse tile. Fixed — never derived from the worker count — so
-#: the job split (and therefore the built index) is byte-identical at any
-#: ``workers`` setting.
-_PARSE_TILE_SIZE = 16
-
-#: One cold-parse job: ``(display path, module, is_package, source text)``.
-#: Decoding and module-name resolution happen in the orchestrator, so the
-#: kernel below touches no filesystem and no per-process caches.
-_ParseJob = Tuple[str, str, bool, str]
-
-
-def _extract_tile(
-    jobs: Sequence[_ParseJob], tile: Tile
-) -> List[Optional[ModuleSummary]]:
-    """Pure parse kernel: summaries for one tile of files, None on error."""
-    out: List[Optional[ModuleSummary]] = []
-    for display, module, is_package, text in jobs[tile.start : tile.stop]:
-        try:
-            src = ModuleSource(
-                text, path=display, module=module, is_package=is_package
-            )
-        except SourceError:
-            out.append(None)  # the per-file engine reports parse errors
-            continue
-        out.append(extract_module(src))
-    return out
 
 
 @dataclass(frozen=True)
@@ -93,90 +62,31 @@ class ProjectIndex:
 
     def __init__(self, modules: Dict[str, ModuleSummary]):
         self.modules = modules
-        self.parsed = 0  # files parsed fresh this build
-        self.cached = 0  # files served from the summary cache
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        paths: Sequence[Path],
-        cache: Optional[SummaryCache] = None,
-        workers: int = 1,
-    ) -> "ProjectIndex":
-        """Index every ``.py`` file under ``paths``.
+    def build(cls, paths: Sequence[Path]) -> "ProjectIndex":
+        """Index every ``.py`` file under ``paths``, in file order.
 
-        With a cache, unchanged files (by content hash) reuse their stored
-        summary and are not re-parsed; the cache is updated in memory —
-        call :meth:`SummaryCache.save` to persist it. ``workers`` > 1 fans
-        the cold parse out over an :class:`ExecutionPlan` (summaries are
-        plain serializable facts); the file split is static and results
-        are merged in file order, so the index — and a cache saved from it
-        — is byte-identical at any worker count.
+        Files that do not decode or parse are left out; the per-file
+        engine reports them as ``parse-error`` findings.
         """
         index = cls({})
-        ordered: List[Optional[ModuleSummary]] = []
-        jobs: List[_ParseJob] = []
-        slots: List[int] = []
-        digests: List[str] = []
         for file_path in iter_python_files(paths):
-            display = _display_path(file_path)
             try:
-                data = file_path.read_bytes()
-            except OSError:
-                continue
-            digest = content_hash(data)
-            summary = cache.get(display, digest) if cache is not None else None
-            if summary is not None:
-                index.cached += 1
-                ordered.append(summary)
-                continue
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError:
-                continue
-            slots.append(len(ordered))
-            ordered.append(None)
-            digests.append(digest)
-            jobs.append(
-                (
-                    display,
-                    module_name_for(file_path),
-                    file_path.name == "__init__.py",
-                    text,
+                src = ModuleSource.from_path(
+                    file_path, display_path=_display_path(file_path)
                 )
-            )
-        if jobs:
-            plan = ExecutionPlan(
-                workers=max(1, workers), tile_size=_PARSE_TILE_SIZE
-            )
-            extracted: List[Optional[ModuleSummary]] = []
-            for tile_out in plan.stream(
-                _extract_tile, jobs, plan.tiles(len(jobs)), broadcast=True
-            ):
-                extracted.extend(tile_out)
-            for slot, job, digest, summary in zip(
-                slots, jobs, digests, extracted
-            ):
-                if summary is None:
-                    continue
-                index.parsed += 1
-                if cache is not None:
-                    cache.put(job[0], digest, summary)
-                ordered[slot] = summary
-        for summary in ordered:
-            if summary is not None:
-                index.modules[summary.module] = summary
+            except SourceError:
+                continue
+            summary = extract_module(src)
+            index.modules[summary.module] = summary
         return index
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "modules": len(self.modules),
-            "parsed": self.parsed,
-            "cached": self.cached,
-        }
+        return {"modules": len(self.modules)}
 
     # ------------------------------------------------------------------
     # Lookups
@@ -240,9 +150,6 @@ class ProjectIndex:
             return None
         if head in summary.imports:
             chained = ".".join([summary.imports[head], *rest[1:]])
-            return self._resolve(chained, depth + 1)
-        if summary.getattr_forward is not None:
-            chained = ".".join([summary.getattr_forward, *rest])
             return self._resolve(chained, depth + 1)
         return None
 

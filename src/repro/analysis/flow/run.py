@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.finding import Finding
-from repro.analysis.flow.cache import SummaryCache
 from repro.analysis.flow.dense import DenseAllocPass
 from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.ordering import UnstableOrderPass
@@ -35,21 +34,16 @@ def run_flow(
     paths: Sequence[Path],
     *,
     rule_ids: Sequence[str] = FLOW_RULE_IDS,
-    cache: Optional[SummaryCache] = None,
     index: Optional[ProjectIndex] = None,
-    workers: int = 1,
 ) -> FlowResult:
     """Run the taint + purity + race + shape passes over a project.
 
     ``rule_ids`` selects which passes run (``--select``/``--ignore``
-    filtered by the CLI); ``cache`` enables the content-hash incremental
-    cache (saved back to disk by the caller); a pre-built ``index`` can be
-    supplied to skip indexing (tests, ``--explain``); ``workers`` > 1
-    parallelizes the cold parse over an ``ExecutionPlan`` (bit-identical
-    to the serial build).
+    filtered by the CLI); a pre-built ``index`` can be supplied to skip
+    indexing (tests).
     """
     if index is None:
-        index = ProjectIndex.build(paths, cache=cache, workers=workers)
+        index = ProjectIndex.build(paths)
     graph = index.callgraph()
 
     collected: List[FlowFinding] = []

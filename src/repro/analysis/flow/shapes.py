@@ -178,8 +178,7 @@ def _terminates(body: Sequence[ast.stmt]) -> bool:
 
 #: A node's position key. Guards are keyed by ``(lineno, col_offset)``
 #: rather than object identity: positions are deterministic across
-#: processes (the extractor itself ships through an ``ExecutionPlan``),
-#: and nodes sharing a position share a lexical guard context.
+#: runs, and nodes sharing a position share a lexical guard context.
 GuardKey = Tuple[int, int]
 
 

@@ -1,9 +1,8 @@
-"""Serializable per-module facts the whole-program passes consume.
+"""Per-module facts the whole-program passes consume.
 
 A :class:`ModuleSummary` is everything the cross-module phases (symbol
 resolution, call graph, taint, purity) need from one file — and nothing
-they do not — so it can be cached on disk keyed by content hash and a
-warm run never re-parses unchanged files.
+they do not — so the passes never touch an AST.
 
 References between modules are plain dotted strings (``"repro.core.
 clustering.Linkage.cut"``), resolved lazily by the
@@ -17,17 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.suppress import Suppressions
-
-#: Bump when the extraction format changes; stale cache entries are dropped.
-#: v3 added the symbolic shape facts (allocs, sort events, call guards
-#: and argument extent classes) for the :mod:`repro.analysis.flow.shapes`
-#: passes; v4 dropped the ``"densifier"`` kernel-region role; v5 dropped
-#: the dtype facts (``dtype_events``, ``returns_dtype``); v6 dropped the
-#: order-sensitive merges (``merges``) and the stable-sort events, and
-#: types ``self.<attr>`` ship receivers from ``__init__``; v7 resolves
-#: ``self.<attr>.<method>(...)`` calls through the same typing.
-SUMMARY_VERSION = 7
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -45,23 +33,6 @@ class CallSite:
     line: int
     guards: Tuple[str, ...] = ()
     arg_classes: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ref": self.ref,
-            "line": self.line,
-            "guards": list(self.guards),
-            "arg_classes": list(self.arg_classes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "CallSite":
-        return cls(
-            ref=str(d["ref"]),
-            line=int(d["line"]),  # type: ignore[arg-type]
-            guards=tuple(str(g) for g in d.get("guards", ())),  # type: ignore[union-attr]
-            arg_classes=tuple(str(a) for a in d.get("arg_classes", ())),  # type: ignore[union-attr]
-        )
 
 
 @dataclass(frozen=True)
@@ -83,27 +54,6 @@ class AllocSite:
     line_text: str = ""  # stripped allocation line (finding fingerprints)
     guards: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "what": self.what,
-            "extents": list(self.extents),
-            "classes": list(self.classes),
-            "line": self.line,
-            "line_text": self.line_text,
-            "guards": list(self.guards),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "AllocSite":
-        return cls(
-            what=str(d["what"]),
-            extents=tuple(str(e) for e in d.get("extents", ())),  # type: ignore[union-attr]
-            classes=tuple(str(c) for c in d.get("classes", ())),  # type: ignore[union-attr]
-            line=int(d["line"]),  # type: ignore[arg-type]
-            line_text=str(d.get("line_text", "")),
-            guards=tuple(str(g) for g in d.get("guards", ())),  # type: ignore[union-attr]
-        )
-
 
 @dataclass(frozen=True)
 class SortEvent:
@@ -117,15 +67,6 @@ class SortEvent:
     what: str  # display form: "numpy.argsort", "numpy.sort", ".argsort"
     line: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "what": self.what, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "SortEvent":
-        return cls(
-            kind=str(d["kind"]), what=str(d["what"]), line=int(d["line"])  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class TaintSource:
@@ -134,15 +75,6 @@ class TaintSource:
     kind: str  # "wall-clock" | "global-rng" | "fs-order" | "object-identity"
     what: str  # e.g. "time.time", "os.listdir", "id"
     line: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "what": self.what, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "TaintSource":
-        return cls(
-            kind=str(d["kind"]), what=str(d["what"]), line=int(d["line"])  # type: ignore[arg-type]
-        )
 
 
 @dataclass(frozen=True)
@@ -161,23 +93,6 @@ class StateWrite:
     line: int
     attr: str = ""  # first attribute below the root, when written through one
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "how": self.how,
-            "line": self.line,
-            "attr": self.attr,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "StateWrite":
-        return cls(
-            name=str(d["name"]),
-            how=str(d["how"]),
-            line=int(d["line"]),  # type: ignore[arg-type]
-            attr=str(d.get("attr", "")),
-        )
-
 
 @dataclass(frozen=True)
 class StateRead:
@@ -192,17 +107,6 @@ class StateRead:
     name: str
     line: int
     attr: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "line": self.line, "attr": self.attr}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "StateRead":
-        return cls(
-            name=str(d["name"]),
-            line=int(d["line"]),  # type: ignore[arg-type]
-            attr=str(d.get("attr", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -221,28 +125,7 @@ class ShipSite:
     arg_kind: str  # "ref" | "lambda" | "nested" | "unknown"
     arg_ref: Optional[str]  # dotted ref of the shipped callable
     line: int
-    line_text: str = ""  # stripped ship-call line (baseline fingerprints)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "receiver_ref": self.receiver_ref,
-            "arg_kind": self.arg_kind,
-            "arg_ref": self.arg_ref,
-            "line": self.line,
-            "line_text": self.line_text,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ShipSite":
-        return cls(
-            method=str(d["method"]),
-            receiver_ref=None if d.get("receiver_ref") is None else str(d["receiver_ref"]),
-            arg_kind=str(d["arg_kind"]),
-            arg_ref=None if d.get("arg_ref") is None else str(d["arg_ref"]),
-            line=int(d["line"]),  # type: ignore[arg-type]
-            line_text=str(d.get("line_text", "")),
-        )
+    line_text: str = ""  # stripped ship-call line (finding fingerprints)
 
 
 @dataclass
@@ -257,7 +140,7 @@ class FunctionSummary:
 
     qualname: str  # within the module: "f" or "Class.method"
     line: int
-    line_text: str = ""  # stripped ``def`` line (baseline fingerprints)
+    line_text: str = ""  # stripped ``def`` line (finding fingerprints)
     calls: List[CallSite] = field(default_factory=list)
     sources: List[TaintSource] = field(default_factory=list)
     writes: List[StateWrite] = field(default_factory=list)
@@ -268,39 +151,6 @@ class FunctionSummary:
     params: List[str] = field(default_factory=list)
     roles: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "line_text": self.line_text,
-            "calls": [c.to_dict() for c in self.calls],
-            "sources": [s.to_dict() for s in self.sources],
-            "writes": [w.to_dict() for w in self.writes],
-            "reads": [r.to_dict() for r in self.reads],
-            "ships": [s.to_dict() for s in self.ships],
-            "allocs": [a.to_dict() for a in self.allocs],
-            "sorts": [s.to_dict() for s in self.sorts],
-            "params": list(self.params),
-            "roles": list(self.roles),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(d["qualname"]),
-            line=int(d["line"]),  # type: ignore[arg-type]
-            line_text=str(d.get("line_text", "")),
-            calls=[CallSite.from_dict(c) for c in d.get("calls", ())],  # type: ignore[union-attr]
-            sources=[TaintSource.from_dict(s) for s in d.get("sources", ())],  # type: ignore[union-attr]
-            writes=[StateWrite.from_dict(w) for w in d.get("writes", ())],  # type: ignore[union-attr]
-            reads=[StateRead.from_dict(r) for r in d.get("reads", ())],  # type: ignore[union-attr]
-            ships=[ShipSite.from_dict(s) for s in d.get("ships", ())],  # type: ignore[union-attr]
-            allocs=[AllocSite.from_dict(a) for a in d.get("allocs", ())],  # type: ignore[union-attr]
-            sorts=[SortEvent.from_dict(s) for s in d.get("sorts", ())],  # type: ignore[union-attr]
-            params=[str(p) for p in d.get("params", ())],  # type: ignore[union-attr]
-            roles=[str(r) for r in d.get("roles", ())],  # type: ignore[union-attr]
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -310,23 +160,6 @@ class ClassSummary:
     line: int
     bases: List[str] = field(default_factory=list)  # dotted refs
     methods: List[str] = field(default_factory=list)  # bare method names
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ClassSummary":
-        return cls(
-            name=str(d["name"]),
-            line=int(d["line"]),  # type: ignore[arg-type]
-            bases=[str(b) for b in d.get("bases", ())],  # type: ignore[union-attr]
-            methods=[str(m) for m in d.get("methods", ())],  # type: ignore[union-attr]
-        )
 
 
 @dataclass
@@ -340,53 +173,7 @@ class ModuleSummary:
     imports: Dict[str, str] = field(default_factory=dict)  # local -> dotted
     module_names: List[str] = field(default_factory=list)  # top-level binds
     data_names: List[str] = field(default_factory=list)  # top-level data binds
-    getattr_forward: Optional[str] = None  # __getattr__ re-export target
     suppressions: Suppressions = field(default_factory=Suppressions)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "functions": {
-                q: f.to_dict() for q, f in sorted(self.functions.items())
-            },
-            "classes": {n: c.to_dict() for n, c in sorted(self.classes.items())},
-            "imports": dict(sorted(self.imports.items())),
-            "module_names": sorted(self.module_names),
-            "data_names": sorted(self.data_names),
-            "getattr_forward": self.getattr_forward,
-            "suppressions": self.suppressions.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> Optional["ModuleSummary"]:
-        """Deserialize; None for summaries written by another version."""
-        if d.get("version") != SUMMARY_VERSION:
-            return None
-        return cls(
-            module=str(d["module"]),
-            path=str(d["path"]),
-            functions={
-                str(q): FunctionSummary.from_dict(f)
-                for q, f in d.get("functions", {}).items()  # type: ignore[union-attr]
-            },
-            classes={
-                str(n): ClassSummary.from_dict(c)
-                for n, c in d.get("classes", {}).items()  # type: ignore[union-attr]
-            },
-            imports={
-                str(k): str(v) for k, v in d.get("imports", {}).items()  # type: ignore[union-attr]
-            },
-            module_names=[str(n) for n in d.get("module_names", ())],  # type: ignore[union-attr]
-            data_names=[str(n) for n in d.get("data_names", ())],  # type: ignore[union-attr]
-            getattr_forward=(
-                None
-                if d.get("getattr_forward") is None
-                else str(d["getattr_forward"])
-            ),
-            suppressions=Suppressions.from_dict(d.get("suppressions", {})),  # type: ignore[arg-type]
-        )
 
     def function_keys(self) -> List[Tuple[str, str]]:
         """Sorted ``(module, qualname)`` keys of every function here."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.flow.index import CallGraph, FuncKey, ProjectIndex

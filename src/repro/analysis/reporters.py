@@ -1,9 +1,11 @@
 """Render an AnalysisResult for humans or machines.
 
-The JSON schema is ``repro-lint/2``: version 2 added the top-level
+The JSON schema is ``repro-lint/3``: version 2 added the top-level
 ``schema`` key itself, the optional per-finding ``chain`` array (the
 source-to-sink call chain of whole-program flow findings), and the
-optional ``summary.flow`` statistics block emitted under ``--flow``.
+optional ``summary.flow`` statistics block emitted under ``--flow``;
+version 3 dropped ``summary.baselined`` and cut ``summary.flow`` to
+``{"modules": N}``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import List
 
 from repro.analysis.engine import AnalysisResult
 
-JSON_SCHEMA = "repro-lint/2"
+JSON_SCHEMA = "repro-lint/3"
 
 
 def format_human(result: AnalysisResult) -> str:
@@ -36,17 +38,11 @@ def format_human(result: AnalysisResult) -> str:
             f"pushlint: no findings in {result.files_checked} file(s) "
             f"({len(result.rule_ids)} rules)"
         )
-    if result.suppressed or result.baselined:
-        lines.append(
-            f"pushlint: {result.suppressed} suppressed inline, "
-            f"{result.baselined} baselined"
-        )
+    if result.suppressed:
+        lines.append(f"pushlint: {result.suppressed} suppressed inline")
     if result.flow_stats is not None:
-        stats = result.flow_stats
         lines.append(
-            f"pushlint --flow: {stats.get('modules', 0)} module(s) indexed "
-            f"({stats.get('parsed', 0)} parsed, "
-            f"{stats.get('cached', 0)} from cache)"
+            f"pushlint --flow: {result.flow_stats['modules']} module(s) indexed"
         )
     return "\n".join(lines)
 
@@ -55,7 +51,6 @@ def format_json(result: AnalysisResult) -> str:
     summary = {
         "findings": len(result.findings),
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "files_checked": result.files_checked,
         "rules": list(result.rule_ids),
     }

@@ -2,7 +2,7 @@
 
 Adding a rule = writing a :class:`~repro.analysis.rules.base.Rule` subclass
 and listing it in :data:`ALL_RULES`. IDs are kebab-case and stable — they
-appear in suppression comments and baseline files.
+appear in suppression comments and in ``--select``/``--ignore``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from typing import Dict, List, Sequence, Tuple, Type
 
 from repro.analysis.rules.annotations import PublicApiAnnotationsRule
 from repro.analysis.rules.base import ImportMap, Rule, module_in
-from repro.analysis.rules.densify import NoMatrixDensifyRule
 from repro.analysis.rules.flow import (
     FlowDenseAllocRule,
     FlowNondetTaintRule,
@@ -36,7 +35,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     NoBareExceptRule,
     DeterministicEmitRule,
     PublicApiAnnotationsRule,
-    NoMatrixDensifyRule,
     FlowNondetTaintRule,
     FlowParallelPurityRule,
     FlowSharedStateRaceRule,

@@ -5,7 +5,7 @@ need a project-wide index and call graph, so they cannot run inside the
 per-module :meth:`Rule.check` protocol. These classes exist to give the
 passes first-class rule identities — stable kebab-case ids that work with
 ``--select`` / ``--ignore``, inline ``# pushlint: disable=...`` comments at
-the sink line, baselines, ``--list-rules`` and the docs drift test — while
+the sink line, ``--list-rules`` and the docs drift test — while
 their per-module ``check`` is intentionally empty. The CLI runs the actual
 passes when invoked with ``--flow``.
 """

@@ -13,7 +13,7 @@ strictly below it):
 
 ``repro.util`` and ``repro.perf`` import nothing from repro (``perf`` is
 pure numeric kernels — numpy/scipy only); ``repro.analysis`` sees only
-``perf`` (its cold parse fans out over an ``ExecutionPlan``), so the
+``perf`` (DetSan hooks its ``ExecutionPlan``), so the
 linter still cannot be skewed by the code it lints; ``repro.core`` never sees the
 simulated web (``webenv``/``browser``/``crawler``) so the analysis pipeline
 provably works from collected records alone, exactly like the paper's miner.

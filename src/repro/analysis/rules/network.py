@@ -8,7 +8,7 @@ package is an immediate red flag, even if currently unused.
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, FrozenSet, Iterator, List, Tuple
+from typing import ClassVar, FrozenSet, Iterator, List
 
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.rules.base import Rule

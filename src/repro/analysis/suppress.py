@@ -67,25 +67,3 @@ class Suppressions:
 
     def __bool__(self) -> bool:
         return bool(self._by_line or self._file_wide)
-
-    # ------------------------------------------------------------------
-    # Serialization (the flow pass caches parsed modules across runs)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "file": sorted(self._file_wide),
-            "lines": {
-                str(line): sorted(rules)
-                for line, rules in sorted(self._by_line.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Suppressions":
-        supp = cls()
-        supp._file_wide.update(payload.get("file", ()))  # type: ignore[arg-type]
-        lines = payload.get("lines", {})
-        if isinstance(lines, dict):
-            for line, rules in lines.items():
-                supp._by_line[int(line)] = set(rules)
-        return supp

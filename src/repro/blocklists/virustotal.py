@@ -13,7 +13,7 @@ Paper observations reproduced here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.blocklists.base import ScanVerdict, UrlTruth, url_unit_draw
 

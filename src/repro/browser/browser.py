@@ -9,7 +9,7 @@ tracking).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.browser.events import EventKind, EventLog

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.browser.events import EventKind, EventLog
 from repro.browser.service_worker import ServiceWorkerRegistration

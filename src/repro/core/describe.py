@@ -8,8 +8,8 @@ corpus — used by the examples, the CLI, and the characterization tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.records import WpnRecord
 from repro.util.stats import counter_table, percentile, safe_ratio

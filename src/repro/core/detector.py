@@ -19,10 +19,9 @@ This module builds that detector from the measurement pipeline's output:
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 

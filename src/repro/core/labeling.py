@@ -14,12 +14,11 @@ Steps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Sequence, Set
 
 from repro.blocklists.gsb import GoogleSafeBrowsingModel
 from repro.blocklists.virustotal import VirusTotalModel
 from repro.core.campaigns import WpnCluster
-from repro.core.records import WpnRecord
 from repro.core.verification import ManualVerificationOracle
 
 

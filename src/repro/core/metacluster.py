@@ -9,7 +9,7 @@ advertiser "operation".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.campaigns import WpnCluster

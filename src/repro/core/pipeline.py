@@ -36,7 +36,6 @@ from repro.core.campaigns import (
     WpnCluster,
     ad_campaign_clusters,
     build_clusters,
-    is_ad_campaign,
 )
 from repro.core.clustering import (
     AgglomerativeClusterer,

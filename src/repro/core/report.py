@@ -8,7 +8,7 @@ benchmarks can print the same rows the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # crawler sits above core in the package DAG
     import networkx as nx
@@ -18,8 +18,7 @@ if TYPE_CHECKING:  # crawler sits above core in the package DAG
 
 from repro.core.campaigns import WpnCluster, is_ad_campaign
 from repro.core.pipeline import PipelineResult
-from repro.core.records import WpnRecord
-from repro.util.stats import empirical_cdf, safe_ratio
+from repro.util.stats import empirical_cdf
 
 #: iZooto's standard push-ad CPM in USD (paper's ethics section).
 STANDARD_CPM_USD = 2.54

@@ -19,7 +19,7 @@ job boards, horoscopes, adult sites, welcome pages).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from repro.core.campaigns import WpnCluster, is_ad_campaign
 from repro.core.labeling import LabelingResult

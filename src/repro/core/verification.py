@@ -11,7 +11,7 @@ landing page — falls back to ground truth, with a small configurable
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.blocklists.base import url_unit_draw
 from repro.core.records import WpnRecord

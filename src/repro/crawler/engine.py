@@ -119,7 +119,7 @@ def run_session_tile(
     """Pure shard kernel: run each job's container session, in job order.
 
     Every session derives its RNG stream, FCM broker namespace, and WPN ids
-    from ``(seed, platform, url)`` (the :class:`ContainerSession` defaults),
+    from ``(seed, platform, url)`` (see :class:`ContainerSession`),
     so neither shard boundaries nor worker placement can influence a single
     byte of the results.
     """

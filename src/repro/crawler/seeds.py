@@ -7,13 +7,12 @@ then visit each to learn which actually request notification permission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from repro.webenv.adnetworks import ALL_SEEDS, AdNetworkSpec
+from repro.webenv.adnetworks import ALL_SEEDS
 from repro.util.domains import effective_second_level_domain
 from repro.webenv.generator import WebEcosystem
-from repro.util.urls import Url
 from repro.webenv.website import Website
 
 

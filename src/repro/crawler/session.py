@@ -89,8 +89,11 @@ class ContainerSession:
     """Visit one URL in an isolated browser; collect its WPNs.
 
     Only a prompting site gets a container: broker, keyed stream, browser
-    and, on mobile, the Android device. For any other site ``browser`` and
-    ``device`` stay ``None`` and :meth:`run` returns the bare result.
+    and, on mobile, the Android device. The broker and stream derive from
+    what the session visits (:func:`session_key`, :func:`session_rng`), so
+    a session is a self-contained pure kernel. For any other site ``fcm``,
+    ``rng``, ``browser`` and ``device`` stay ``None`` and :meth:`run`
+    returns the bare result.
     """
 
     def __init__(
@@ -100,8 +103,6 @@ class ContainerSession:
         site: Website,
         platform: str,
         start_min: float,
-        fcm: Optional[FcmService] = None,
-        rng: Optional[random.Random] = None,
         emulated: bool = False,
     ):
         self.ecosystem = ecosystem
@@ -113,19 +114,14 @@ class ContainerSession:
         self.emulated = emulated
         self._wpn_index = 0
         self._sent_alerts: List[MessageCreative] = []
-        self.fcm: Optional[FcmService] = fcm
-        self.rng: Optional[random.Random] = rng
+        self.fcm: Optional[FcmService] = None
+        self.rng: Optional[random.Random] = None
         self.browser: Optional[InstrumentedBrowser] = None
         self.device: Optional[AndroidDevice] = None
         if not site.requests_permission:
             return
-        # Defaults make the session a self-contained pure kernel: its own
-        # namespaced broker and its own keyed stream, derived from what it
-        # visits rather than received from a shared scheduler.
-        if self.fcm is None:
-            self.fcm = FcmService(namespace=self.session_key)
-        if self.rng is None:
-            self.rng = session_rng(ecosystem.config.seed, platform, str(site.url))
+        self.fcm = FcmService(namespace=self.session_key)
+        self.rng = session_rng(ecosystem.config.seed, platform, str(site.url))
         self.browser = InstrumentedBrowser(
             ecosystem, self.fcm, rng=self.rng, platform=platform
         )

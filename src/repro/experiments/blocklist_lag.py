@@ -9,7 +9,6 @@ model and reports the same fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from repro.blocklists.base import UrlTruth
 from repro.blocklists.gsb import GoogleSafeBrowsingModel

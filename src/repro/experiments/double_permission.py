@@ -10,7 +10,6 @@ origin. The crawler defeats it by interacting with the pre-prompt too.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List
 
 from repro.blocklists.base import url_unit_draw
 from repro.browser.browser import InstrumentedBrowser

@@ -11,7 +11,6 @@ once fully trained (full crowd coverage).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.browser.browser import InstrumentedBrowser
 from repro.browser.permissions import PermissionManager, QuietUiPolicy

@@ -16,13 +16,12 @@ deployment honestly, respecting time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.detector import MaliciousWpnDetector
 from repro.core.pipeline import PushAdMiner
-from repro.core.records import WpnRecord
 from repro.crawler.harvest import WpnDataset
 from repro.util.stats import safe_ratio
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
 

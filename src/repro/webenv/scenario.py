@@ -9,7 +9,7 @@ fractions should land near the paper's regardless of scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 

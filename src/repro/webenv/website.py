@@ -15,7 +15,7 @@ Three flavours exist in the generated ecosystem:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.util.urls import Url

@@ -1,1 +1,1 @@
-"""Synthetic package: a ``__getattr__`` re-export shim in the call path."""
+"""Synthetic package: a clock read reached through a self-call and an import."""

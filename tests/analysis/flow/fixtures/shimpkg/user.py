@@ -1,6 +1,6 @@
-"""Calls the moved symbol through the shim; per-file clean itself."""
+"""Calls the moved symbol from its real home; per-file clean itself."""
 
-from shimpkg.legacy import steady, tick
+from shimpkg.modern import steady, tick
 
 
 class Widget:
@@ -8,7 +8,7 @@ class Widget:
         return tick()
 
     def render_status(self) -> str:
-        # Sink: reaches time.time() through the shim AND through self.poll.
+        # Sink: reaches time.time() through self.poll, then modern.tick.
         return f"{self.poll()}"
 
 

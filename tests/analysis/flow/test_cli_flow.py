@@ -24,7 +24,7 @@ def run_cli(capsys, *argv):
 
 class TestFlowFlag:
     def test_flow_finds_interprocedural_taint(self, taint_tree, capsys):
-        code, out, _ = run_cli(capsys, "--flow", "--no-flow-cache", taint_tree)
+        code, out, _ = run_cli(capsys, "--flow", taint_tree)
         assert code == 1
         assert "flow-nondet-taint" in out
         assert "via " in out  # chain hops rendered under the finding
@@ -35,13 +35,14 @@ class TestFlowFlag:
         assert code == 0
         assert "no findings" in out
 
-    def test_json_schema_v2_with_chains_and_stats(self, taint_tree, capsys):
+    def test_json_schema_v3_with_chains_and_stats(self, taint_tree, capsys):
         _, out, _ = run_cli(
-            capsys, "--flow", "--no-flow-cache", "--format", "json", taint_tree
+            capsys, "--flow", "--format", "json", taint_tree
         )
         payload = json.loads(out)
-        assert payload["schema"] == "repro-lint/2"
-        assert payload["summary"]["flow"]["modules"] == 4
+        assert payload["schema"] == "repro-lint/3"
+        assert payload["summary"]["flow"] == {"modules": 4}
+        assert "baselined" not in payload["summary"]
         flow = [
             f
             for f in payload["findings"]
@@ -54,7 +55,6 @@ class TestFlowFlag:
         code, out, _ = run_cli(
             capsys,
             "--flow",
-            "--no-flow-cache",
             "--select",
             "flow-nondet-taint",
             taint_tree,
@@ -68,7 +68,6 @@ class TestFlowFlag:
         code, out, _ = run_cli(
             capsys,
             "--flow",
-            "--no-flow-cache",
             "--select",
             "flow-nondet-taint,flow-parallel-purity",
             "--ignore",
@@ -84,18 +83,10 @@ class TestFlowFlag:
         assert "flow-nondet-taint" in out
         assert "flow-parallel-purity" in out
 
-    def test_cache_round_trip_via_cli(self, taint_tree, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        run_cli(capsys, "--flow", "--flow-cache", cache, taint_tree)
-        assert cache.exists()
-        _, out, _ = run_cli(capsys, "--flow", "--flow-cache", cache, taint_tree)
-        assert "(0 parsed, 4 from cache)" in out
-
-
 class TestExplain:
     def _fingerprint(self, capsys, tree):
         _, out, _ = run_cli(
-            capsys, "--flow", "--no-flow-cache", "--format", "json", tree
+            capsys, "--flow", "--format", "json", tree
         )
         payload = json.loads(out)
         flow = [
@@ -111,7 +102,6 @@ class TestExplain:
             capsys,
             "--explain",
             finding["fingerprint"][:12],
-            "--no-flow-cache",
             taint_tree,
         )
         assert code == 0
@@ -124,7 +114,6 @@ class TestExplain:
             capsys,
             "--explain",
             f"{finding['path']}:{finding['line']}",
-            "--no-flow-cache",
             taint_tree,
         )
         assert code == 0
@@ -133,17 +122,17 @@ class TestExplain:
     def test_explain_shows_suppressed_findings(self, taint_tree, capsys):
         # format_sanctioned is silenced in normal output but explainable.
         _, out, _ = run_cli(
-            capsys, "--flow", "--no-flow-cache", "--format", "json", taint_tree
+            capsys, "--flow", "--format", "json", taint_tree
         )
         assert "format_sanctioned" not in out
         code, out, _ = run_cli(
-            capsys, "--explain", "nomatch", "--no-flow-cache", taint_tree
+            capsys, "--explain", "nomatch", taint_tree
         )
         assert code == 2
 
     def test_explain_no_match_is_usage_error(self, taint_tree, capsys):
         code, _, err = run_cli(
-            capsys, "--explain", "ffffffffffff", "--no-flow-cache", taint_tree
+            capsys, "--explain", "ffffffffffff", taint_tree
         )
         assert code == 2
         assert "no flow finding matches" in err
@@ -156,32 +145,6 @@ def race_tree(tmp_path):
     (tmp_path / "pyproject.toml").write_text("[tool.none]\n")
     shutil.copytree(FIXTURES / "racepkg", tmp_path / "racepkg")
     return tmp_path / "racepkg"
-
-
-class TestFlowWorkers:
-    def test_worker_count_never_changes_the_output(self, race_tree, capsys):
-        outputs = {}
-        for workers in (1, 2, 4):
-            code, out, _ = run_cli(
-                capsys,
-                "--flow",
-                "--no-flow-cache",
-                "--format",
-                "json",
-                "--flow-workers",
-                workers,
-                race_tree,
-            )
-            assert code == 1
-            outputs[workers] = out
-        assert outputs[1] == outputs[2] == outputs[4]
-
-    def test_zero_workers_is_a_usage_error(self, race_tree, capsys):
-        code, _, err = run_cli(
-            capsys, "--flow", "--flow-workers", 0, race_tree
-        )
-        assert code == 2
-        assert "--flow-workers" in err
 
 
 @pytest.fixture
@@ -197,7 +160,7 @@ class TestExplainPrefixAmbiguity:
         # the same ship statement in two orchestrators) legitimately
         # share one fingerprint and are not an ambiguity.
         _, out, _ = run_cli(
-            capsys, "--flow", "--no-flow-cache", "--format", "json", *trees
+            capsys, "--flow", "--format", "json", *trees
         )
         return sorted({f["fingerprint"] for f in json.loads(out)["findings"]})
 
@@ -212,8 +175,7 @@ class TestExplainPrefixAmbiguity:
             if sum(f.startswith(prefix) for f in fingerprints) > 1
         )
         code, out, err = run_cli(
-            capsys, "--explain", ambiguous, "--no-flow-cache",
-            *race_and_pure_trees,
+            capsys, "--explain", ambiguous, *race_and_pure_trees,
         )
         assert code == 2
         assert "ambiguous fingerprint prefix" in err
@@ -230,9 +192,7 @@ class TestExplainPrefixAmbiguity:
             for f in fingerprints
             if sum(g.startswith(f[:length]) for g in fingerprints) == 1
         )
-        code, out, _ = run_cli(
-            capsys, "--explain", unique, "--no-flow-cache", race_tree
-        )
+        code, out, _ = run_cli(capsys, "--explain", unique, race_tree)
         assert code == 0
         assert out.count("fingerprint:") == 1
         assert "chain:" in out

@@ -1,9 +1,9 @@
 """ProjectIndex: symbol resolution and call-graph edge cases.
 
 Half of these run against the real ``src/repro`` tree — the ExecutionPlan
-ship in ``repro.core.distance`` is exactly the structure the ISSUE calls
-out; ``__getattr__``-shim following stays covered by the ``shimpkg``
-fixture (the real tree retired its last re-export shim in PR 7).
+ship in ``repro.core.distance`` is exactly the structure the call graph
+must see; the ``shimpkg`` fixture covers a self-method call chained to an
+imported function.
 """
 
 from pathlib import Path
@@ -207,6 +207,5 @@ class TestCallGraph:
 
     def test_stats_shape(self, src_index):
         stats = src_index.stats()
+        assert list(stats) == ["modules"]
         assert stats["modules"] > 100
-        assert stats["parsed"] == stats["modules"]
-        assert stats["cached"] == 0

@@ -1,8 +1,7 @@
 """Why each rule that overlaps another check stays in pushlint.
 
 Per-file rules: ``no-wallclock`` and ``no-unseeded-rng`` overlap
-``flow-nondet-taint``'s sources, and ``no-matrix-densify`` overlaps
-``flow-dense-alloc``. A per-file rule earns its place only if some code
+``flow-nondet-taint``'s sources. A per-file rule earns its place only if some code
 trips it that no flow pass reports: each case below is such a snippet,
 run through the rule and through ``run_flow`` with every flow pass
 selected. ``deterministic-emit`` overlaps no flow pass (none models set
@@ -52,14 +51,6 @@ CAUGHT_ONLY_PER_FILE = {
     "deterministic-emit": """
         def names(items):
             return list({item.name for item in items})
-        """,
-    # numpy.matrix semantics, not size: flow models extents, not types.
-    "no-matrix-densify": """
-        import numpy as np
-
-
-        def rows(matrix):
-            return np.asarray(matrix.todense())
         """,
 }
 

@@ -5,7 +5,7 @@ allocation hidden behind a helper call, an unstable argsort behind a
 helper — and every sanctioned pattern (streaming ``tile x n`` kernels,
 ``kind="stable"`` argsorts, stable ``np.lexsort``/``sorted()`` sorts,
 the suppressed densifier). The golden tests pin one finding per pass
-byte-for-byte through the ``repro-lint/2`` JSON reporter and
+byte-for-byte through the ``repro-lint/3`` JSON reporter and
 ``--explain``; the src/repro tests prove each inline sanction in the
 real tree is load-bearing.
 """
@@ -251,9 +251,9 @@ class TestGoldenOutput:
 
     def test_json_findings_are_byte_identical(self, tmp_path):
         root = self._project_root(tmp_path)
-        proc = self._run(root, "--flow", "--no-flow-cache", "--format", "json")
+        proc = self._run(root, "--flow", "--format", "json")
         payload = json.loads(proc.stdout)
-        assert payload["schema"] == "repro-lint/2"
+        assert payload["schema"] == "repro-lint/3"
         for rule_id, golden in GOLDEN_JSON.items():
             found = [f for f in payload["findings"] if f["rule"] == rule_id]
             assert found, rule_id
@@ -261,9 +261,7 @@ class TestGoldenOutput:
 
     def test_explain_chain_is_byte_identical(self, tmp_path):
         root = self._project_root(tmp_path)
-        proc = self._run(
-            root, "--explain", "0e3cf0d2a4106023", "--no-flow-cache"
-        )
+        proc = self._run(root, "--explain", "0e3cf0d2a4106023")
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_EXPLAIN
 

@@ -110,14 +110,14 @@ class TestSuppressionAtSource:
 
 
 class TestShimPkg:
-    def test_taint_flows_through_getattr_shim_and_self_call(self):
+    def test_taint_flows_through_self_call_and_import(self):
         result = flow_over("shimpkg")
         active = [ff for ff in taint_findings(result) if not ff.suppressed]
         assert len(active) == 1
         finding = active[0].finding
         assert "render_status" in finding.message
-        # self.poll() resolved to Widget.poll, then through the legacy
-        # shim's __getattr__ to shimpkg.modern.tick.
+        # self.poll() resolved to Widget.poll, then through the import
+        # to shimpkg.modern.tick.
         assert "Widget.poll" in finding.chain[1]
         assert "modern.tick" in finding.chain[2]
 

@@ -1,4 +1,4 @@
-"""Golden tests pinning the ``repro-lint/2`` JSON reporter output.
+"""Golden tests pinning the ``repro-lint/3`` JSON reporter output.
 
 The JSON payload is a machine interface (CI annotations, dashboards), so
 its shape is pinned byte-for-byte on a synthetic result, and its
@@ -19,7 +19,7 @@ from tests.analysis.flow.conftest import FIXTURES
 GOLDEN = textwrap.dedent(
     """\
     {
-      "schema": "repro-lint/2",
+      "schema": "repro-lint/3",
       "findings": [
         {
           "path": "pkg/mod.py",
@@ -48,16 +48,13 @@ GOLDEN = textwrap.dedent(
       "summary": {
         "findings": 2,
         "suppressed": 1,
-        "baselined": 0,
         "files_checked": 2,
         "rules": [
           "no-wallclock",
           "flow-nondet-taint"
         ],
         "flow": {
-          "modules": 2,
-          "parsed": 2,
-          "cached": 0
+          "modules": 2
         }
       }
     }"""
@@ -91,10 +88,9 @@ def golden_result() -> AnalysisResult:
     return AnalysisResult(
         findings=[plain, flow],
         suppressed=1,
-        baselined=0,
         files_checked=2,
         rule_ids=("no-wallclock", "flow-nondet-taint"),
-        flow_stats={"modules": 2, "parsed": 2, "cached": 0},
+        flow_stats={"modules": 2},
     )
 
 
@@ -104,7 +100,7 @@ def test_json_payload_is_byte_golden():
 
 def test_schema_and_finding_fields_are_pinned():
     payload = json.loads(format_json(golden_result()))
-    assert payload["schema"] == JSON_SCHEMA == "repro-lint/2"
+    assert payload["schema"] == JSON_SCHEMA == "repro-lint/3"
     assert list(payload) == ["schema", "findings", "summary"]
     plain, flow = payload["findings"]
     assert list(plain) == [
@@ -120,7 +116,6 @@ def test_schema_and_finding_fields_are_pinned():
     assert list(payload["summary"]) == [
         "findings",
         "suppressed",
-        "baselined",
         "files_checked",
         "rules",
         "flow",

@@ -1,13 +1,9 @@
-"""Suppression directives, baseline budgets, and engine integration."""
+"""Suppression directives and engine integration."""
 
 import textwrap
-from pathlib import Path
 
-import pytest
-
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisEngine, iter_python_files
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Severity
 from repro.analysis.rules.hygiene import NoBareExceptRule
 from repro.analysis.rules.wallclock import NoWallclockRule
 from repro.analysis.source import ModuleSource
@@ -80,81 +76,7 @@ class TestSuppressions:
         assert not supp.is_suppressed("rule-a", 2)
 
 
-def finding(rule="r", path="p.py", line=1, text="x = 1"):
-    return Finding(
-        path=path,
-        line=line,
-        column=1,
-        rule_id=rule,
-        severity=Severity.ERROR,
-        message="m",
-        source_line=text,
-    )
-
-
-class TestBaseline:
-    def test_roundtrip_and_budget(self, tmp_path):
-        f1 = finding(line=3, text="a = 1")
-        f2 = finding(line=9, text="b = 2")
-        baseline = Baseline.from_findings([f1, f2])
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 2
-
-        # Same findings at *different line numbers* still match...
-        moved = [finding(line=30, text="a = 1"), finding(line=90, text="b = 2")]
-        active, baselined = loaded.split(moved)
-        assert active == [] and baselined == 2
-
-    def test_budget_does_not_absorb_new_duplicates(self, tmp_path):
-        f1 = finding(text="a = 1")
-        baseline = Baseline.from_findings([f1])
-        dupes = [finding(line=1, text="a = 1"), finding(line=2, text="a = 1")]
-        active, baselined = baseline.split(dupes)
-        assert baselined == 1
-        assert len(active) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert len(baseline) == 0
-        active, baselined = baseline.split([finding()])
-        assert len(active) == 1 and baselined == 0
-
-    def test_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-    def test_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestEngineFiles:
-    def test_run_over_tree_applies_baseline_and_reports_counts(self, tmp_path):
-        pkg = tmp_path / "repro" / "demo"
-        pkg.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "mod.py").write_text("import time\nx = time.time()\n")
-
-        engine = AnalysisEngine(rules=[NoWallclockRule()])
-        result = engine.run([tmp_path / "repro"])
-        assert result.files_checked == 3
-        assert len(result.findings) == 1
-        assert not result.ok
-
-        baseline = Baseline.from_findings(result.findings)
-        rerun = AnalysisEngine(rules=[NoWallclockRule()], baseline=baseline).run(
-            [tmp_path / "repro"]
-        )
-        assert rerun.ok
-        assert rerun.baselined == 1
-
     def test_syntax_errors_become_parse_error_findings(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")

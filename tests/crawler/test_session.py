@@ -1,20 +1,15 @@
 """Tests for container sessions: timing policy and record production."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crawler.session import ContainerSession
-from repro.push.fcm import FcmService
-from repro.util.rng import RngFactory
 
 
-def make_session(ecosystem, site, platform="desktop", seed=1, start=0.0):
+def make_session(ecosystem, site, platform="desktop", start=0.0):
     return ContainerSession(
-        ecosystem=ecosystem,
-        fcm=FcmService(),
-        site=site,
-        platform=platform,
-        rng=RngFactory(seed).stream("session"),
-        start_min=start,
+        ecosystem=ecosystem, site=site, platform=platform, start_min=start
     )
 
 
@@ -114,17 +109,18 @@ class TestRun:
 
     def test_alert_repeats_happen(self, small_ecosystem):
         # With repeat rate > 0, an alert-heavy site eventually resends a
-        # creative verbatim.
+        # creative verbatim. The session stream is keyed by the config
+        # seed, so each seed gives the same site a fresh stream.
         for site in small_ecosystem.websites:
             if site.kind == "alert" and site.requests_permission:
                 break
+        site = replace(site, active_notifier=True)
         repeats = 0
         for seed in range(12):
-            site2 = site
-            from dataclasses import replace
-
-            site2 = replace(site, active_notifier=True)
-            result = make_session(small_ecosystem, site2, seed=seed).run()
+            ecosystem = replace(
+                small_ecosystem, config=replace(small_ecosystem.config, seed=seed)
+            )
+            result = make_session(ecosystem, site).run()
             titles = [r.title for r in result.records]
             if len(titles) != len(set(titles)):
                 repeats += 1
