@@ -1,23 +1,28 @@
-"""Benchmark fixtures: one paper-scale crawl + analysis, shared by all.
+"""The paper suite's shared fixtures and its printout pin.
 
-The default scenario runs at 1/8 of the paper's URL population (rates are
-calibrated so every measured *fraction* should match the paper). Set
-``REPRO_BENCH_SCALE`` to run bigger or smaller, e.g.::
+One paper-scale crawl and one analysis at 1/8 of the paper's URL
+population (rates are calibrated so every measured *fraction* should
+match the paper), shared by every test. Each test prints its
+paper-vs-measured text; ``PRINTOUT_SHA256`` pins that text's sha256 per
+test, so a change that moves a printed number fails the suite. Nothing
+here is timed: perfbench owns timing. The scale is fixed because the
+suite mines dense storage, which does not fit in memory at scale 1.0
+(``python -m repro analyze --storage sparse`` measures that scale).
+Show the tables with::
 
-    REPRO_BENCH_SCALE=0.25 pytest benchmarks/ --benchmark-only
+    python -m pytest -q -s benchmarks
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pytest
 
 from repro import PushAdMiner, paper_scenario, run_full_crawl
 
 BENCH_SEED = 7
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.125"))
+BENCH_SCALE = 0.125
 
 
 @pytest.fixture(scope="session")
@@ -69,24 +74,6 @@ PRINTOUT_SHA256 = {
         "248335e48618797b765a97a6f59741b5a48d8c3fffe1427e5ad178af828acf5d",
     "test_fig6_per_network":
         "82edfbd8ac236d71d2d01a2687ff616778a980818587769e2557c206ad26564f",
-    "test_perf_cut_selection":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_distance_matrix":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_ecosystem_generation":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_full_crawl":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_nn_chain":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_seed_discovery_engine":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_silhouette":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_text_model_fit":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "test_perf_url_distance":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "test_pilot_first_notification_latency":
         "3db96007a82a5e3a91e5277a2c623de735e3cbe8df0fe58671612bedfe31e951",
     "test_quiet_ui":

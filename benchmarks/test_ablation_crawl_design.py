@@ -17,7 +17,7 @@ from repro.push.fcm import FcmService
 from repro.util.rng import RngFactory
 
 
-def test_container_isolation_vs_shared_profile(benchmark, bench_dataset):
+def test_container_isolation_vs_shared_profile(bench_dataset):
     ecosystem = bench_dataset.ecosystem
     tracker = CrossSessionTracker(reprompt_rate=0.25)
     sites = [
@@ -26,25 +26,21 @@ def test_container_isolation_vs_shared_profile(benchmark, bench_dataset):
         and set(s.network_names) & tracker.tracking_networks
     ][:150]
 
-    def run_both():
-        shared_browser = InstrumentedBrowser(
-            ecosystem, FcmService(), rng=RngFactory(3).stream("shared"),
+    shared_browser = InstrumentedBrowser(
+        ecosystem, FcmService(), rng=RngFactory(3).stream("shared"),
+        tracker=tracker, cookie_jar=CookieJar(),
+    )
+    shared = sum(
+        1 for s in sites if shared_browser.visit(s, 0.0).decision == "granted"
+    )
+    isolated = 0
+    for i, site in enumerate(sites):
+        browser = InstrumentedBrowser(
+            ecosystem, FcmService(), rng=RngFactory(300 + i).stream("iso"),
             tracker=tracker, cookie_jar=CookieJar(),
         )
-        shared = sum(
-            1 for s in sites if shared_browser.visit(s, 0.0).decision == "granted"
-        )
-        isolated = 0
-        for i, site in enumerate(sites):
-            browser = InstrumentedBrowser(
-                ecosystem, FcmService(), rng=RngFactory(300 + i).stream("iso"),
-                tracker=tracker, cookie_jar=CookieJar(),
-            )
-            if browser.visit(site, 0.0).decision == "granted":
-                isolated += 1
-        return shared, isolated
-
-    shared, isolated = benchmark.pedantic(run_both, rounds=1, iterations=1)
+        if browser.visit(site, 0.0).decision == "granted":
+            isolated += 1
     print("\n" + render_table(
         ["crawl design", "tracked-network sites", "subscriptions obtained"],
         [
@@ -56,7 +52,7 @@ def test_container_isolation_vs_shared_profile(benchmark, bench_dataset):
     assert shared < isolated * 0.6
 
 
-def test_real_device_vs_emulator(benchmark, bench_dataset):
+def test_real_device_vs_emulator(bench_dataset):
     ecosystem = bench_dataset.ecosystem
 
     def malicious_share(emulated, seed):
@@ -71,10 +67,7 @@ def test_real_device_vs_emulator(benchmark, bench_dataset):
                 hits += message.malicious
         return hits / total
 
-    def run_both():
-        return malicious_share(False, 1), malicious_share(True, 1)
-
-    real, emulated = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    real, emulated = malicious_share(False, 1), malicious_share(True, 1)
     print("\n" + render_table(
         ["mobile crawl device", "malicious share of served ads"],
         [

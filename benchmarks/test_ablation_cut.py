@@ -6,7 +6,7 @@ much looser and a much tighter fixed cut on campaign purity and ad recall.
 """
 
 from repro.core.campaigns import ad_campaign_clusters, build_clusters
-from repro.core.clustering import AgglomerativeClusterer, select_cut
+from repro.core.clustering import AgglomerativeClusterer, evaluate_cuts
 from repro.core.distance import compute_distances
 from repro.core.report import render_table
 
@@ -25,14 +25,13 @@ def _evaluate(records, labels):
     return len(clusters), purity, recall
 
 
-def test_cut_selection_ablation(benchmark, bench_dataset):
+def test_cut_selection_ablation(bench_dataset):
     records = bench_dataset.valid_records[:800]
     distances = compute_distances(records).total
     linkage = AgglomerativeClusterer().fit(distances)
 
-    selected_t, selected_labels, selected_score = benchmark.pedantic(
-        select_cut, args=(linkage, distances), rounds=1, iterations=1
-    )
+    selection = evaluate_cuts(linkage, distances)
+    selected_t, selected_labels = selection.threshold, selection.labels
 
     rows = []
     for name, labels in [

@@ -36,18 +36,15 @@ def _score(records, distances):
     return threshold, len(clusters), purity, recall, precision
 
 
-def test_feature_channel_ablation(benchmark, bench_dataset):
+def test_feature_channel_ablation(bench_dataset):
     records = bench_dataset.valid_records[:800]
     matrices = compute_distances(records)
 
-    def run_all():
-        return {
-            "text only": _score(records, matrices.text),
-            "URL path only": _score(records, matrices.url),
-            "combined (paper)": _score(records, matrices.total),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = {
+        "text only": _score(records, matrices.text),
+        "URL path only": _score(records, matrices.url),
+        "combined (paper)": _score(records, matrices.total),
+    }
 
     rows = [
         (name, f"{t:.3f}", k, f"{purity:.3f}", f"{recall:.3f}", f"{precision:.3f}")

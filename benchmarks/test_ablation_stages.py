@@ -11,16 +11,12 @@ from conftest import paper_vs_measured
 from repro.core.report import render_table
 
 
-def test_stage_amplification(benchmark, bench_result):
+def test_stage_amplification(bench_result):
     truly = {r.wpn_id for r in bench_result.records if r.truth.malicious}
 
-    def stage_recalls():
-        stage1 = bench_result.labeling.known_malicious_ids
-        stage2 = stage1 | bench_result.labeling.propagated_confirmed_ids
-        stage3 = stage2 | bench_result.suspicion.confirmed_malicious_ids
-        return stage1, stage2, stage3
-
-    stage1, stage2, stage3 = benchmark(stage_recalls)
+    stage1 = bench_result.labeling.known_malicious_ids
+    stage2 = stage1 | bench_result.labeling.propagated_confirmed_ids
+    stage3 = stage2 | bench_result.suspicion.confirmed_malicious_ids
 
     def recall(found):
         return len(found & truly) / len(truly)

@@ -9,8 +9,8 @@ from conftest import paper_vs_measured
 from repro.experiments import run_blocklist_lag
 
 
-def test_blocklist_coverage_lag(benchmark, bench_dataset):
-    result = benchmark(run_blocklist_lag, bench_dataset)
+def test_blocklist_coverage_lag(bench_dataset):
+    result = run_blocklist_lag(bench_dataset)
 
     paper_vs_measured("Blocklist lag", [
         ("VT initial scan", "<1%", f"{result.vt_initial_pct:.2f}%"),

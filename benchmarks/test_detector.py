@@ -10,18 +10,15 @@ from conftest import paper_vs_measured
 from repro.core.detector import MaliciousWpnDetector, train_test_split
 
 
-def test_detector_train_eval(benchmark, bench_result):
+def test_detector_train_eval(bench_result):
     malicious = (
         bench_result.labeling.confirmed_malicious_ids
         | bench_result.suspicion.confirmed_malicious_ids
     )
     train, test = train_test_split(bench_result.records, 0.3, seed=0)
 
-    def train_and_eval():
-        detector = MaliciousWpnDetector().fit(train, malicious)
-        return detector, detector.evaluate(test)
-
-    detector, metrics = benchmark.pedantic(train_and_eval, rounds=2, iterations=1)
+    detector = MaliciousWpnDetector().fit(train, malicious)
+    metrics = detector.evaluate(test)
 
     paper_vs_measured("Detector (future work)", [
         ("training WPNs (pipeline labels)", "n/a", len(train)),

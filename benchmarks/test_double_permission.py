@@ -10,14 +10,8 @@ from conftest import paper_vs_measured
 from repro.experiments import run_double_permission_check
 
 
-def test_double_permission_recheck(benchmark, bench_dataset):
-    result = benchmark.pedantic(
-        run_double_permission_check,
-        args=(bench_dataset,),
-        kwargs={"n_sites": 200},
-        rounds=2,
-        iterations=1,
-    )
+def test_double_permission_recheck(bench_dataset):
+    result = run_double_permission_check(bench_dataset, n_sites=200)
 
     paper_vs_measured("Double permission", [
         ("sites re-checked", 200, result.rechecked_sites),

@@ -10,8 +10,8 @@ from conftest import BENCH_SCALE, paper_vs_measured
 from repro.core.report import STANDARD_CPM_USD, advertiser_cost_report
 
 
-def test_advertiser_click_cost(benchmark, bench_result):
-    report = benchmark(advertiser_cost_report, bench_result)
+def test_advertiser_click_cost(bench_result):
+    report = advertiser_cost_report(bench_result)
 
     max_visits = max(report.per_domain_visits.values(), default=0)
     paper_vs_measured("Ethics cost accounting", [

@@ -10,8 +10,8 @@ from repro.core.campaigns import is_ad_campaign
 from repro.core.report import fig4_cluster_examples
 
 
-def test_fig4_examples(benchmark, bench_result):
-    examples = benchmark(fig4_cluster_examples, bench_result)
+def test_fig4_examples(bench_result):
+    examples = fig4_cluster_examples(bench_result)
 
     print()
     for example in examples:

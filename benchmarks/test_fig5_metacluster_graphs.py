@@ -10,8 +10,8 @@ from conftest import paper_vs_measured
 from repro.core.report import fig5_meta_graphs
 
 
-def test_fig5_meta_graphs(benchmark, bench_result):
-    graphs = benchmark(fig5_meta_graphs, bench_result, 2)
+def test_fig5_meta_graphs(bench_result):
+    graphs = fig5_meta_graphs(bench_result, 2)
     assert graphs, "no suspicious meta clusters found"
 
     print()

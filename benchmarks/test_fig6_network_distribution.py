@@ -8,8 +8,8 @@ re-engagement platforms (OneSignal, PushEngage, iZooto) carry few.
 from repro.core.report import fig6_network_distribution, render_table
 
 
-def test_fig6_per_network(benchmark, bench_result):
-    rows = benchmark(fig6_network_distribution, bench_result)
+def test_fig6_per_network(bench_result):
+    rows = fig6_network_distribution(bench_result)
     print("\n" + render_table(["ad network", "#WPN ads", "#malicious"], rows))
 
     by_network = {name: (ads, malicious) for name, ads, malicious in rows}

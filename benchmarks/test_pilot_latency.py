@@ -10,14 +10,8 @@ from conftest import paper_vs_measured
 from repro.experiments import run_latency_pilot
 
 
-def test_pilot_first_notification_latency(benchmark, bench_dataset):
-    result = benchmark.pedantic(
-        run_latency_pilot,
-        args=(bench_dataset.ecosystem,),
-        kwargs={"n_sites": 1425},
-        rounds=2,
-        iterations=1,
-    )
+def test_pilot_first_notification_latency(bench_dataset):
+    result = run_latency_pilot(bench_dataset.ecosystem, n_sites=1425)
 
     print(f"\npilot sites with notifications: {result.sites_with_notifications}")
     print("first-notification latency CDF (minutes -> fraction):")

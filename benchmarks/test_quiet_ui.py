@@ -9,14 +9,8 @@ from conftest import paper_vs_measured
 from repro.experiments import run_quiet_ui_experiment
 
 
-def test_quiet_ui(benchmark, bench_dataset):
-    result = benchmark.pedantic(
-        run_quiet_ui_experiment,
-        args=(bench_dataset,),
-        kwargs={"n_sites": 300},
-        rounds=2,
-        iterations=1,
-    )
+def test_quiet_ui(bench_dataset):
+    result = run_quiet_ui_experiment(bench_dataset, n_sites=300)
 
     paper_vs_measured("Chrome 80 quiet UI", [
         ("sites visited", 300, result.visited_sites),

@@ -11,10 +11,8 @@ from repro.core.report import render_table
 from repro.experiments import run_realtime_blocking
 
 
-def test_realtime_blocking_deployment(benchmark, bench_dataset):
-    result = benchmark.pedantic(
-        run_realtime_blocking, args=(bench_dataset,), rounds=1, iterations=1
-    )
+def test_realtime_blocking_deployment(bench_dataset):
+    result = run_realtime_blocking(bench_dataset)
 
     rows = [
         (

@@ -10,14 +10,8 @@ from conftest import paper_vs_measured
 from repro.experiments import run_revisit_experiment
 
 
-def test_revisit_experiment(benchmark, bench_dataset):
-    result = benchmark.pedantic(
-        run_revisit_experiment,
-        args=(bench_dataset,),
-        kwargs={"n_sites": 300, "revisit_days": 5},
-        rounds=2,
-        iterations=1,
-    )
+def test_revisit_experiment(bench_dataset):
+    result = run_revisit_experiment(bench_dataset, n_sites=300, revisit_days=5)
 
     paper_vs_measured("April-2020 revisit", [
         ("sites revisited", 300, result.revisited_sites),

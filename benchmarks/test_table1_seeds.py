@@ -12,9 +12,8 @@ from repro.crawler.seeds import discover_seeds
 from repro.webenv.adnetworks import PAPER_TOTAL_NPRS, PAPER_TOTAL_URLS, seeds_by_name
 
 
-def test_table1_seed_discovery(benchmark, bench_dataset):
-    ecosystem = bench_dataset.ecosystem
-    discovery = benchmark(discover_seeds, ecosystem)
+def test_table1_seed_discovery(bench_dataset):
+    discovery = discover_seeds(bench_dataset.ecosystem)
 
     rows = table1_rows(discovery)
     print("\n" + render_table(["seed", "URLs", "NPRs"], rows))

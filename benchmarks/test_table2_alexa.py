@@ -9,8 +9,8 @@ from conftest import paper_vs_measured
 from repro.core.report import render_table, table2_rows
 
 
-def test_table2_rank_breakdown(benchmark, bench_dataset):
-    rows = benchmark(table2_rows, bench_dataset)
+def test_table2_rank_breakdown(bench_dataset):
+    rows = table2_rows(bench_dataset)
     print("\n" + render_table(["Alexa rank", "# NPR domains"], rows))
 
     total = sum(count for _, count in rows)

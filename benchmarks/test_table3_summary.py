@@ -1,23 +1,18 @@
 """Table 3: the headline measurement — WPNs, campaigns, ads, 51% malicious.
 
-This bench times the complete analysis pipeline (features, distances,
-clustering, labeling, meta-clustering, suspicion, verification) over the
-crawled corpus and prints the paper's summary table.
+The session's ``bench_result`` is the complete analysis pipeline
+(features, distances, clustering, labeling, meta-clustering, suspicion,
+verification) over the crawled corpus; this prints the paper's summary
+table from it.
 """
 
 from conftest import BENCH_SCALE, paper_vs_measured
 
-from repro import PushAdMiner
 from repro.core.report import render_table, table3_summary
 
 
-def test_table3_full_pipeline(benchmark, bench_dataset):
-    miner = PushAdMiner.for_dataset(bench_dataset)
-    result = benchmark.pedantic(
-        miner.run, args=(bench_dataset.valid_records,), rounds=2, iterations=1
-    )
-
-    summary = table3_summary(bench_dataset, result)
+def test_table3_full_pipeline(bench_dataset, bench_result):
+    summary = table3_summary(bench_dataset, bench_result)
     print("\n" + render_table(["metric", "value"], list(summary.items())))
 
     scale = BENCH_SCALE

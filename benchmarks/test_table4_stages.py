@@ -11,8 +11,8 @@ from conftest import BENCH_SCALE, paper_vs_measured
 from repro.core.report import render_table, table4_rows
 
 
-def test_table4_stage_counters(benchmark, bench_result):
-    rows = benchmark(table4_rows, bench_result)
+def test_table4_stage_counters(bench_result):
+    rows = table4_rows(bench_result)
     print("\n" + render_table(
         ["stage", "#clusters", "#ad-related", "#WPN ads",
          "#known malicious", "#additional malicious"],

@@ -10,11 +10,8 @@ from conftest import paper_vs_measured
 from repro.core.report import render_table, table5_singletons
 
 
-def test_table5_residual_singletons(benchmark, bench_result):
-    def residuals():
-        return bench_result.residual_singleton_clusters
-
-    residual = benchmark(residuals)
+def test_table5_residual_singletons(bench_result):
+    residual = bench_result.residual_singleton_clusters
     rows = table5_singletons(bench_result, sample=8)
     print("\n" + render_table(["message title", "landing domain", "analyst read"], rows))
 

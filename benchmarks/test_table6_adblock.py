@@ -11,11 +11,9 @@ from repro.adblock import evaluate_blocking
 from repro.core.report import render_table
 
 
-def test_table6_blocking(benchmark, bench_dataset):
-    rows = benchmark(
-        evaluate_blocking,
-        bench_dataset.sw_requests,
-        bench_dataset.ecosystem.network_domains,
+def test_table6_blocking(bench_dataset):
+    rows = evaluate_blocking(
+        bench_dataset.sw_requests, bench_dataset.ecosystem.network_domains
     )
     print("\n" + render_table(
         ["mechanism", "SW requests", "blocked", "blocked %", "SW scripts matched"],

@@ -12,9 +12,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.engine import AnalysisEngine
+from repro.analysis.engine import AnalysisEngine, load_sources
 from repro.analysis.finding import Finding
 from repro.analysis.flow import run_flow
+from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.run import FlowResult
 from repro.analysis.reporters import format_human, format_json
 from repro.analysis.rules import FlowRule, rules_by_id, select_rules
@@ -125,11 +126,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"pushlint: error: no such path: {path}", file=sys.stderr)
             return 2
 
-    result = AnalysisEngine(rules=rules).run(paths)
+    loaded = load_sources(paths)
+    result = AnalysisEngine(rules=rules).check_loaded(loaded)
 
     if args.flow or args.explain:
         flow_ids = [rule.id for rule in rules if isinstance(rule, FlowRule)]
-        flow_result = run_flow(paths, rule_ids=flow_ids)
+        index = ProjectIndex.from_loaded(loaded)
+        flow_result = run_flow(paths, rule_ids=flow_ids, index=index)
         if args.explain:
             return _explain(args.explain, flow_result)
         result.findings = sorted([*result.findings, *flow_result.findings])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.rules import Rule, default_rules
@@ -57,6 +57,35 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield candidate
 
 
+#: One file as :func:`load_sources` read it: parsed, or its parse error.
+Loaded = Union[ModuleSource, Finding]
+
+
+def load_sources(paths: Sequence[Path]) -> List[Loaded]:
+    """Read and parse every ``.py`` file under ``paths`` once, in file order.
+
+    A file that does not decode or parse becomes a ``parse-error``
+    finding in its place.
+    """
+    loaded: List[Loaded] = []
+    for file_path in iter_python_files(paths):
+        display = _display_path(file_path)
+        try:
+            loaded.append(ModuleSource.from_path(file_path, display_path=display))
+        except SourceError as exc:
+            loaded.append(
+                Finding(
+                    path=display,
+                    line=exc.line,
+                    column=1,
+                    rule_id="parse-error",
+                    severity=Severity.ERROR,
+                    message=exc.message,
+                )
+            )
+    return loaded
+
+
 def _skipped(path: Path) -> bool:
     return any(
         part in _SKIP_DIR_NAMES or part.endswith(_SKIP_DIR_SUFFIXES)
@@ -89,26 +118,18 @@ class AnalysisEngine:
     # Filesystem runs
     # ------------------------------------------------------------------
     def run(self, paths: Sequence[Path]) -> AnalysisResult:
+        return self.check_loaded(load_sources(paths))
+
+    def check_loaded(self, loaded: Sequence[Loaded]) -> AnalysisResult:
+        """Check files :func:`load_sources` already parsed."""
         result = AnalysisResult(rule_ids=tuple(rule.id for rule in self.rules))
         raw: List[Finding] = []
-        for file_path in iter_python_files(paths):
+        for item in loaded:
             result.files_checked += 1
-            display = _display_path(file_path)
-            try:
-                src = ModuleSource.from_path(file_path, display_path=display)
-            except SourceError as exc:
-                raw.append(
-                    Finding(
-                        path=display,
-                        line=exc.line,
-                        column=1,
-                        rule_id="parse-error",
-                        severity=Severity.ERROR,
-                        message=exc.message,
-                    )
-                )
+            if isinstance(item, Finding):
+                raw.append(item)
                 continue
-            findings, suppressed = self.check_source(src)
+            findings, suppressed = self.check_source(item)
             raw.extend(findings)
             result.suppressed += suppressed
         result.findings = sorted(raw)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.engine import _display_path, iter_python_files
+from repro.analysis.engine import Loaded, load_sources
 from repro.analysis.flow.extract import extract_module
 from repro.analysis.flow.summary import (
     FunctionSummary,
     ModuleSummary,
     ShipSite,
 )
-from repro.analysis.source import ModuleSource, SourceError
+from repro.analysis.source import ModuleSource
 
 #: A function's identity: ``(dotted module, qualname-within-module)``.
 FuncKey = Tuple[str, str]
@@ -68,21 +68,21 @@ class ProjectIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, paths: Sequence[Path]) -> "ProjectIndex":
-        """Index every ``.py`` file under ``paths``, in file order.
+        """Index every ``.py`` file under ``paths``, in file order."""
+        return cls.from_loaded(load_sources(paths))
 
-        Files that do not decode or parse are left out; the per-file
+    @classmethod
+    def from_loaded(cls, loaded: Sequence[Loaded]) -> "ProjectIndex":
+        """Index files :func:`load_sources` already parsed.
+
+        Files that did not decode or parse are left out; the per-file
         engine reports them as ``parse-error`` findings.
         """
         index = cls({})
-        for file_path in iter_python_files(paths):
-            try:
-                src = ModuleSource.from_path(
-                    file_path, display_path=_display_path(file_path)
-                )
-            except SourceError:
-                continue
-            summary = extract_module(src)
-            index.modules[summary.module] = summary
+        for item in loaded:
+            if isinstance(item, ModuleSource):
+                summary = extract_module(item)
+                index.modules[summary.module] = summary
         return index
 
     def stats(self) -> Dict[str, int]:

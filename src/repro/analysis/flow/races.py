@@ -64,13 +64,6 @@ class _Party:
     def name(self) -> str:
         return f"{self.root[0]}.{self.root[1]}"
 
-    def writes_to(self, loc: Location) -> List[_Access]:
-        return [
-            a
-            for a in self.accesses
-            if a.kind == "write" and _locations_conflict(a.loc, loc)
-        ]
-
 
 class SharedStateRacePass:
     """Report conflicting module-state accesses between concurrent parties."""

@@ -39,8 +39,8 @@ def run_flow(
     """Run the taint + purity + race + shape passes over a project.
 
     ``rule_ids`` selects which passes run (``--select``/``--ignore``
-    filtered by the CLI); a pre-built ``index`` can be supplied to skip
-    indexing (tests).
+    filtered by the CLI); a pre-built ``index`` skips indexing (the CLI
+    builds it from the files it already parsed).
     """
     if index is None:
         index = ProjectIndex.build(paths)

@@ -174,7 +174,3 @@ class ModuleSummary:
     module_names: List[str] = field(default_factory=list)  # top-level binds
     data_names: List[str] = field(default_factory=list)  # top-level data binds
     suppressions: Suppressions = field(default_factory=Suppressions)
-
-    def function_keys(self) -> List[Tuple[str, str]]:
-        """Sorted ``(module, qualname)`` keys of every function here."""
-        return [(self.module, q) for q in sorted(self.functions)]

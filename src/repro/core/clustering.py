@@ -964,26 +964,6 @@ def evaluate_cuts_sparse(
     return _select_scored(linkage, candidate_list, schedule, parts)
 
 
-def select_cut(
-    linkage: Linkage,
-    distances: np.ndarray,
-    candidates: Optional[Sequence[float]] = None,
-    max_candidates: int = 24,
-    min_cluster_fraction: float = 0.33,
-    max_threshold: float = 0.25,
-) -> Tuple[float, np.ndarray, float]:
-    """Tuple form of :func:`evaluate_cuts`: ``(threshold, labels, score)``."""
-    selection = evaluate_cuts(
-        linkage,
-        distances,
-        candidates=candidates,
-        max_candidates=max_candidates,
-        min_cluster_fraction=min_cluster_fraction,
-        max_threshold=max_threshold,
-    )
-    return selection.threshold, selection.labels, selection.score
-
-
 def cluster_records(
     distances: np.ndarray,
     *,
@@ -994,8 +974,6 @@ def cluster_records(
     Returns ``(labels, linkage, threshold, silhouette_score)``.
     """
     linkage = AgglomerativeClusterer().fit(distances)
-    if threshold is not None:
-        _, labels, score = select_cut(linkage, distances, candidates=[threshold])
-        return labels, linkage, threshold, score
-    chosen, labels, score = select_cut(linkage, distances)
-    return labels, linkage, chosen, score
+    candidates = None if threshold is None else [threshold]
+    selection = evaluate_cuts(linkage, distances, candidates=candidates)
+    return selection.labels, linkage, selection.threshold, selection.score

@@ -112,13 +112,6 @@ class WebEcosystem:
                 return op
         raise KeyError(f"unknown operation: {operation_id!r}")
 
-    def website_by_url(self, url: Url) -> Optional[Website]:
-        text = str(url)
-        for site in self.websites:
-            if str(site.url) == text:
-                return site
-        return None
-
     # ------------------------------------------------------------------
     # Message generation (called by the push broker during the crawl)
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.source import ModuleSource
 
 from tests.analysis.flow.conftest import FIXTURES
 
@@ -29,6 +30,21 @@ class TestFlowFlag:
         assert "flow-nondet-taint" in out
         assert "via " in out  # chain hops rendered under the finding
         assert "module(s) indexed" in out
+
+    def test_flow_reads_each_file_once(self, taint_tree, capsys, monkeypatch):
+        (taint_tree / "broken.py").write_text("def broken(:\n")
+        read = []
+        from_path = ModuleSource.from_path.__func__
+
+        def counting(cls, path, **kwargs):
+            read.append(path)
+            return from_path(cls, path, **kwargs)
+
+        monkeypatch.setattr(ModuleSource, "from_path", classmethod(counting))
+        code, out, _ = run_cli(capsys, "--flow", taint_tree)
+        assert sorted(read) == sorted(taint_tree.rglob("*.py"))
+        assert code == 1
+        assert "parse-error" in out
 
     def test_without_flow_the_sink_module_passes(self, taint_tree, capsys):
         code, out, _ = run_cli(capsys, taint_tree / "reporters.py")

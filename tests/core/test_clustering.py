@@ -11,7 +11,7 @@ from repro.core.clustering import (
     Linkage,
     Merge,
     cluster_records,
-    select_cut,
+    evaluate_cuts,
 )
 from repro.core.silhouette import average_silhouette, silhouette_samples
 
@@ -200,23 +200,21 @@ class TestSelectCut:
     def test_finds_block_structure(self):
         dist, truth = block_distance_matrix([8, 8, 8])
         linkage = AgglomerativeClusterer().fit(dist)
-        threshold, labels, score = select_cut(
-            linkage, dist, min_cluster_fraction=0.05
-        )
-        assert labels.max() + 1 == 3
-        assert score > 0.8
+        selection = evaluate_cuts(linkage, dist, min_cluster_fraction=0.05)
+        assert selection.labels.max() + 1 == 3
+        assert selection.score > 0.8
 
     def test_conservative_constraint_respected(self):
         dist, _ = block_distance_matrix([10, 10])
         linkage = AgglomerativeClusterer().fit(dist)
-        _, labels, _ = select_cut(linkage, dist, min_cluster_fraction=0.4)
-        assert labels.max() + 1 >= 8  # at least 0.4 * 20
+        selection = evaluate_cuts(linkage, dist, min_cluster_fraction=0.4)
+        assert selection.labels.max() + 1 >= 8  # at least 0.4 * 20
 
     def test_explicit_candidates(self):
         dist, _ = block_distance_matrix([5, 5])
         linkage = AgglomerativeClusterer().fit(dist)
-        threshold, _, _ = select_cut(linkage, dist, candidates=[0.5])
-        assert threshold == 0.5
+        selection = evaluate_cuts(linkage, dist, candidates=[0.5])
+        assert selection.threshold == 0.5
 
     def test_cluster_records_wrapper(self):
         dist, _ = block_distance_matrix([6, 6])
