@@ -16,19 +16,19 @@ step() {
 }
 
 # pushlint runs once over src/repro and benchmarks: the per-file rules
-# and the whole-program --flow passes, in one uncached process. It must
-# exit 0 (no finding of any severity) within PUSHLINT_FLOW_BUDGET seconds.
+# and the whole-program flow passes, in one uncached process. It must
+# exit 0 (no finding) within PUSHLINT_FLOW_BUDGET seconds.
 budget="${PUSHLINT_FLOW_BUDGET:-25}"
-step "pushlint --flow src/repro benchmarks (under ${budget}s)"
+step "pushlint src/repro benchmarks (under ${budget}s)"
 start=$EPOCHREALTIME
-python -m repro.analysis --flow src/repro benchmarks || failures=$((failures + 1))
+python -m repro.analysis src/repro benchmarks || failures=$((failures + 1))
 python - "$start" "$EPOCHREALTIME" "$budget" <<'PYEOF' || failures=$((failures + 1))
 import sys
 
 start, stop, budget = map(float, sys.argv[1:])
 print(f"pushlint run: {stop - start:.2f}s (budget {budget:.0f}s)")
 if stop - start > budget:
-    sys.exit(f"check.sh: pushlint --flow run blew the {budget:.0f}s budget")
+    sys.exit(f"check.sh: pushlint run blew the {budget:.0f}s budget")
 PYEOF
 
 step "mypy (strict: repro.util, repro.analysis)"

@@ -1,8 +1,9 @@
 """The pushlint command line: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 = clean (every finding suppressed inline, or none), 1 = any
-finding, whatever its severity, 2 = usage error (bad rule id, missing
-path...).
+Every run applies the whole rule set: the per-file rules and the
+whole-program flow passes. Exit codes: 0 = clean (every finding
+suppressed inline, or none), 1 = any finding, 2 = usage error (missing
+path, unmatched ``--explain`` query...).
 """
 
 from __future__ import annotations
@@ -10,22 +11,31 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.engine import AnalysisEngine, load_sources
+from repro.analysis.engine import AnalysisEngine, AnalysisResult, load_sources
 from repro.analysis.finding import Finding
 from repro.analysis.flow import run_flow
 from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.run import FlowResult
 from repro.analysis.reporters import format_human, format_json
-from repro.analysis.rules import FlowRule, rules_by_id, select_rules
+from repro.analysis.rules import rules_by_id
 
 
-def _split_ids(values: "List[str] | None") -> List[str]:
-    ids: List[str] = []
-    for value in values or []:
-        ids.extend(part.strip() for part in value.split(",") if part.strip())
-    return ids
+def lint(paths: Sequence[Path]) -> Tuple[AnalysisResult, FlowResult]:
+    """Run every rule over ``paths``, reading and parsing each file once.
+
+    The :class:`AnalysisResult` holds the per-file and flow findings
+    together; the :class:`FlowResult` also keeps the inline-suppressed
+    flow findings that ``--explain`` can show.
+    """
+    loaded = load_sources(paths)
+    flow = run_flow(paths, index=ProjectIndex.from_loaded(loaded))
+    result = AnalysisEngine().check_loaded(loaded)
+    result.findings = sorted([*result.findings, *flow.findings])
+    result.suppressed += flow.suppressed
+    result.flow_stats = flow.stats
+    return result, flow
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,41 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: human)",
     )
     parser.add_argument(
-        "--select",
-        action="append",
-        metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULES",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "also run the whole-program passes: cross-module "
-            "nondeterminism taint (flow-nondet-taint), parallel purity "
-            "(flow-parallel-purity), shared-state races "
-            "(flow-shared-state-race), quadratic dense allocations "
-            "(flow-dense-alloc) and tie-unstable sorts "
-            "(flow-unstable-order)"
-        ),
     )
     parser.add_argument(
         "--explain",
         metavar="FINDING",
         help=(
             "print the source-to-sink call chain(s) of a flow finding, "
-            "given its fingerprint (prefix) or path:line; implies --flow "
-            "and also matches suppressed findings"
+            "given its fingerprint (prefix) or path:line; also matches "
+            "suppressed findings"
         ),
     )
     return parser
@@ -92,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_rules() -> str:
     lines = []
     for rule_id, rule_cls in sorted(rules_by_id().items()):
-        lines.append(f"{rule_id}  ({rule_cls.severity.label})")
+        lines.append(rule_id)
         lines.append(f"    {rule_cls.description}")
     return "\n".join(lines)
 
@@ -104,12 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-
-    try:
-        rules = select_rules(_split_ids(args.select), _split_ids(args.ignore))
-    except ValueError as exc:
-        print(f"pushlint: error: {exc}", file=sys.stderr)
-        return 2
 
     paths: List[Path] = list(args.paths)
     if not paths:
@@ -126,19 +106,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"pushlint: error: no such path: {path}", file=sys.stderr)
             return 2
 
-    loaded = load_sources(paths)
-    result = AnalysisEngine(rules=rules).check_loaded(loaded)
-
-    if args.flow or args.explain:
-        flow_ids = [rule.id for rule in rules if isinstance(rule, FlowRule)]
-        index = ProjectIndex.from_loaded(loaded)
-        flow_result = run_flow(paths, rule_ids=flow_ids, index=index)
-        if args.explain:
-            return _explain(args.explain, flow_result)
-        result.findings = sorted([*result.findings, *flow_result.findings])
-        result.suppressed += flow_result.suppressed
-        result.flow_stats = flow_result.stats
-
+    result, flow_result = lint(paths)
+    if args.explain:
+        return _explain(args.explain, flow_result)
     print(format_json(result) if args.format == "json" else format_human(result))
     return 0 if result.ok else 1
 
@@ -188,7 +158,7 @@ def _explain(query: str, flow_result: FlowResult) -> int:
         f = ff.finding
         status = " (suppressed inline)" if ff.suppressed else ""
         lines = [
-            f"{f.location}: {f.severity.label} [{f.rule_id}]{status}",
+            f"{f.location}: [{f.rule_id}]{status}",
             f"  {f.message}",
             f"  fingerprint: {f.fingerprint}",
         ]

@@ -1,4 +1,5 @@
-"""The pushlint engine: walk files, run rules, apply inline suppressions."""
+"""The pushlint engine: walk files, run the per-file rules, apply inline
+suppressions."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.finding import Finding, Severity
-from repro.analysis.rules import Rule, default_rules
+from repro.analysis.finding import Finding
+from repro.analysis.rules import default_rules
 from repro.analysis.source import ModuleSource, SourceError
 
 _SKIP_DIR_SUFFIXES = (".egg-info",)
@@ -22,9 +23,9 @@ class AnalysisResult:
     suppressed: int = 0
     files_checked: int = 0
     rule_ids: Tuple[str, ...] = ()
-    # Whole-program pass statistics, set when the CLI ran with --flow
-    # (see repro.analysis.flow): modules indexed.
-    flow_stats: Optional[Dict[str, int]] = None
+    # Whole-program pass statistics (see repro.analysis.flow): modules
+    # indexed.
+    flow_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -79,7 +80,6 @@ def load_sources(paths: Sequence[Path]) -> List[Loaded]:
                     line=exc.line,
                     column=1,
                     rule_id="parse-error",
-                    severity=Severity.ERROR,
                     message=exc.message,
                 )
             )
@@ -94,10 +94,13 @@ def _skipped(path: Path) -> bool:
 
 
 class AnalysisEngine:
-    """Runs a set of rules over modules and files."""
+    """Runs every per-file rule over modules and files.
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None):
-        self.rules: List[Rule] = list(rules) if rules is not None else default_rules()
+    :func:`repro.analysis.cli.lint` adds the whole-program passes.
+    """
+
+    def __init__(self) -> None:
+        self.rules = default_rules()
 
     # ------------------------------------------------------------------
     # Single-module checking (also the unit-test entry point)
@@ -113,12 +116,6 @@ class AnalysisEngine:
                 else:
                     active.append(finding)
         return active, suppressed
-
-    # ------------------------------------------------------------------
-    # Filesystem runs
-    # ------------------------------------------------------------------
-    def run(self, paths: Sequence[Path]) -> AnalysisResult:
-        return self.check_loaded(load_sources(paths))
 
     def check_loaded(self, loaded: Sequence[Loaded]) -> AnalysisResult:
         """Check files :func:`load_sources` already parsed."""

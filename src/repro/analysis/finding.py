@@ -2,25 +2,9 @@
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
-
-
-class Severity(enum.IntEnum):
-    """How bad a finding is: the label printed beside it.
-
-    Every finding fails the gate alike, whatever its severity.
-    """
-
-    INFO = 10
-    WARNING = 20
-    ERROR = 30
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 @dataclass(frozen=True, order=True)
@@ -41,7 +25,6 @@ class Finding:
     line: int
     column: int
     rule_id: str
-    severity: Severity = field(compare=False)
     message: str = field(compare=False)
     source_line: str = field(default="", compare=False)
     chain: Tuple[str, ...] = field(default=(), compare=False)
@@ -62,7 +45,6 @@ class Finding:
             "line": self.line,
             "column": self.column,
             "rule": self.rule_id,
-            "severity": self.severity.label,
             "message": self.message,
             "fingerprint": self.fingerprint,
         }

@@ -1,9 +1,9 @@
 """Whole-program flow analysis for pushlint.
 
 The per-module rules in :mod:`repro.analysis.rules` see one file at a
-time, so a wall-clock read wrapped in a helper one module away is
+time, so a wall-clock read wrapped in a helper one module away would be
 invisible to them at the point where it matters — the reporter that emits
-it, or the kernel that ships it into a worker process. This package adds
+it, or the kernel that ships it into a worker process. This package is
 the interprocedural layer:
 
 * :class:`~repro.analysis.flow.index.ProjectIndex` — parses the project
@@ -31,8 +31,8 @@ the interprocedural layer:
   ``np.argsort``/``np.sort`` calls whose tie order can reach a merge or
   emit sink.
 
-Run all of them via ``python -m repro.analysis --flow`` or
-:func:`run_flow`.
+Every ``python -m repro.analysis`` run runs all of them; :func:`run_flow`
+runs them alone.
 """
 
 from repro.analysis.flow.dense import DenseAllocPass

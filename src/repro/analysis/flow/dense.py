@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.flow.index import CallGraph, FuncKey, ProjectIndex
 from repro.analysis.flow.scope import KernelScope, param_extents, resolve_extent
 from repro.analysis.flow.summary import AllocSite
@@ -111,7 +111,6 @@ class DenseAllocPass:
             line=alloc.line,
             column=1,
             rule_id=RULE_ID,
-            severity=Severity.ERROR,
             message=message,
             source_line=alloc.line_text,
             chain=chain,

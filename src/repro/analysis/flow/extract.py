@@ -11,9 +11,9 @@ consumes the summaries. Extraction is deliberately conservative:
 * nested functions and lambdas are folded into their enclosing top-level
   function or method (their calls/sources are attributed to it), which
   over-approximates reachability but never misses it;
-* module-level statements outside any function are *not* analyzed here —
-  the per-file rules already flag sources at import time wherever they
-  appear.
+* module-level statements outside any function are *not* analyzed here:
+  a source that runs at import time reaches no sink through the call
+  graph.
 """
 
 from __future__ import annotations
@@ -32,10 +32,46 @@ from repro.analysis.flow.summary import (
     TaintSource,
 )
 from repro.analysis.flow.shapes import ShapeExtractor, function_roles
-from repro.analysis.rules.base import module_in
-from repro.analysis.rules.rng import NoUnseededRngRule
-from repro.analysis.rules.wallclock import WALLCLOCK_CALLS, NoWallclockRule
 from repro.analysis.source import ModuleSource
+
+# Host-clock reads. Only repro.obs.clock, home of the injectable Clock
+# whose PerfClock is the one sanctioned wall-clock read, may make them.
+WALLCLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.localtime",
+        "time.gmtime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+_WALLCLOCK_EXEMPT = "repro.obs.clock"
+
+# numpy.random attributes that do NOT touch the legacy global RNG.
+_NUMPY_SAFE = frozenset(
+    {
+        "default_rng",
+        "Generator",
+        "SeedSequence",
+        "BitGenerator",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
+        "MT19937",
+    }
+)
+# repro.util.rng builds the seeded streams, so it may construct RNGs.
+_RNG_EXEMPT = "repro.util"
 
 # Filesystem enumeration whose result order is OS-dependent.
 _FS_ORDER_CALLS = frozenset(
@@ -65,7 +101,29 @@ _MUTATOR_METHODS = frozenset(
 # Methods that ship their first positional argument into worker processes.
 _SHIP_METHODS = frozenset({"stream", "run", "submit"})
 
-_RNG_RULE = NoUnseededRngRule()
+
+def _module_in(module: str, prefix: str) -> bool:
+    """True if ``module`` is ``prefix`` or nested inside it."""
+    return module == prefix or module.startswith(prefix + ".")
+
+
+def _is_global_rng(ref: str, call: ast.Call) -> bool:
+    """Does this call draw from process-global or unseeded randomness?
+
+    The ``random`` module's functions, numpy's legacy global RNG, and
+    ``random.Random()`` / ``numpy.random.default_rng()`` without a seed
+    do; methods of a typed ``random.Random`` instance (a caller-seeded
+    stream) and numpy's generator constructors do not.
+    """
+    if ref in ("random.Random", "numpy.random.default_rng"):
+        return not (call.args or call.keywords)
+    if ref.startswith("random.Random."):
+        return False
+    if ref.startswith("random."):
+        return True
+    if ref.startswith("numpy.random."):
+        return ref.rsplit(".", 1)[-1] not in _NUMPY_SAFE
+    return False
 
 
 def extract_module(src: ModuleSource) -> ModuleSummary:
@@ -228,10 +286,8 @@ class _ModuleExtractor:
         shapes = ShapeExtractor(self, node, local)
         fn.roles = function_roles(node, class_name, self._annotation_class)
 
-        exempt_wallclock = module_in(
-            self.module, NoWallclockRule.exempt_prefixes
-        )
-        exempt_rng = module_in(self.module, _RNG_RULE.exempt_prefixes)
+        exempt_wallclock = _module_in(self.module, _WALLCLOCK_EXEMPT)
+        exempt_rng = _module_in(self.module, _RNG_EXEMPT)
 
         seen_reads: Set[Tuple[str, str]] = set()
         for inner in ast.walk(node):
@@ -300,7 +356,7 @@ class _ModuleExtractor:
                     TaintSource(kind="wall-clock", what=ref, line=call.lineno)
                 )
                 return
-            if not exempt_rng and _RNG_RULE._violation(ref, call) is not None:
+            if not exempt_rng and _is_global_rng(ref, call):
                 fn.sources.append(
                     TaintSource(kind="global-rng", what=ref, line=call.lineno)
                 )

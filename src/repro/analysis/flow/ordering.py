@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.flow.index import CallGraph, FuncKey, ProjectIndex
 from repro.analysis.flow.summary import SortEvent
 from repro.analysis.flow.taint import FlowFinding, _is_sink
@@ -113,7 +113,6 @@ class UnstableOrderPass:
             line=sink_line,
             column=1,
             rule_id=RULE_ID,
-            severity=Severity.ERROR,
             message=message,
             source_line=summary.functions[sink[1]].line_text,
             chain=chain,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.flow.index import (
     CallGraph,
     FuncKey,
@@ -144,7 +144,6 @@ class ParallelPurityPass:
             line=site.line,
             column=1,
             rule_id=RULE_ID,
-            severity=Severity.ERROR,
             message=f"{message} [shipped from {ship_desc}]",
             source_line=site.line_text,
             chain=chain,

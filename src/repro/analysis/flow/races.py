@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.flow.index import (
     CallGraph,
     FuncKey,
@@ -273,7 +273,6 @@ class SharedStateRacePass:
             line=line,
             column=1,
             rule_id=RACE_RULE_ID,
-            severity=Severity.ERROR,
             message=f"{message} [shipped from {self.index.describe(shipper_key)}]",
             source_line=line_text,
             chain=chain,

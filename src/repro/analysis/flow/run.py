@@ -1,4 +1,4 @@
-"""One-call driver for the whole-program passes (CLI ``--flow``)."""
+"""One-call driver for the whole-program passes."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.analysis.flow.ordering import UnstableOrderPass
 from repro.analysis.flow.purity import ParallelPurityPass
 from repro.analysis.flow.races import SharedStateRacePass
 from repro.analysis.flow.taint import FlowFinding, NondetTaintPass
-from repro.analysis.rules import FLOW_RULE_IDS
 
 
 @dataclass
@@ -33,30 +32,24 @@ class FlowResult:
 def run_flow(
     paths: Sequence[Path],
     *,
-    rule_ids: Sequence[str] = FLOW_RULE_IDS,
     index: Optional[ProjectIndex] = None,
 ) -> FlowResult:
-    """Run the taint + purity + race + shape passes over a project.
+    """Run every whole-program pass over a project.
 
-    ``rule_ids`` selects which passes run (``--select``/``--ignore``
-    filtered by the CLI); a pre-built ``index`` skips indexing (the CLI
+    A pre-built ``index`` skips indexing (:func:`repro.analysis.cli.lint`
     builds it from the files it already parsed).
     """
     if index is None:
         index = ProjectIndex.build(paths)
     graph = index.callgraph()
 
-    collected: List[FlowFinding] = []
-    if "flow-nondet-taint" in rule_ids:
-        collected.extend(NondetTaintPass(index, graph).run())
-    if "flow-parallel-purity" in rule_ids:
-        collected.extend(ParallelPurityPass(index, graph).run())
-    if "flow-shared-state-race" in rule_ids:
-        collected.extend(SharedStateRacePass(index, graph).run())
-    if "flow-dense-alloc" in rule_ids:
-        collected.extend(DenseAllocPass(index, graph).run())
-    if "flow-unstable-order" in rule_ids:
-        collected.extend(UnstableOrderPass(index, graph).run())
+    collected: List[FlowFinding] = [
+        *NondetTaintPass(index, graph).run(),
+        *ParallelPurityPass(index, graph).run(),
+        *SharedStateRacePass(index, graph).run(),
+        *DenseAllocPass(index, graph).run(),
+        *UnstableOrderPass(index, graph).run(),
+    ]
     collected.sort(key=lambda ff: ff.finding)
 
     result = FlowResult(all_findings=collected, stats=index.stats())

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.flow.index import CallGraph, FuncKey, ProjectIndex
 from repro.analysis.flow.summary import TaintSource
 
@@ -147,7 +147,6 @@ class NondetTaintPass:
             line=sink_line,
             column=1,
             rule_id=RULE_ID,
-            severity=Severity.ERROR,
             message=message,
             source_line=summary.functions[sink[1]].line_text,
             chain=chain,

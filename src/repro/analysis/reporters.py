@@ -1,11 +1,13 @@
 """Render an AnalysisResult for humans or machines.
 
-The JSON schema is ``repro-lint/3``: version 2 added the top-level
+The JSON schema is ``repro-lint/4``. Version 2 added the top-level
 ``schema`` key itself, the optional per-finding ``chain`` array (the
 source-to-sink call chain of whole-program flow findings), and the
-optional ``summary.flow`` statistics block emitted under ``--flow``;
-version 3 dropped ``summary.baselined`` and cut ``summary.flow`` to
-``{"modules": N}``.
+``summary.flow`` statistics block, then emitted only by runs of the flow
+passes; version 3 dropped ``summary.baselined`` and cut ``summary.flow``
+to ``{"modules": N}``; version 4 dropped each finding's ``severity``
+(every finding fails the run alike) and always emits ``summary.flow``,
+since every run runs the flow passes.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ from typing import List
 
 from repro.analysis.engine import AnalysisResult
 
-JSON_SCHEMA = "repro-lint/3"
+JSON_SCHEMA = "repro-lint/4"
 
 
 def format_human(result: AnalysisResult) -> str:
     """The classic linter layout: one line per finding, then a summary."""
     lines: List[str] = []
     for f in result.findings:
-        lines.append(
-            f"{f.location}: {f.severity.label} [{f.rule_id}] {f.message}"
-        )
+        lines.append(f"{f.location}: [{f.rule_id}] {f.message}")
         lines.extend(f"    via {hop}" for hop in f.chain)
     if lines:
         lines.append("")
@@ -40,10 +40,7 @@ def format_human(result: AnalysisResult) -> str:
         )
     if result.suppressed:
         lines.append(f"pushlint: {result.suppressed} suppressed inline")
-    if result.flow_stats is not None:
-        lines.append(
-            f"pushlint --flow: {result.flow_stats['modules']} module(s) indexed"
-        )
+    lines.append(f"pushlint: {result.flow_stats['modules']} module(s) indexed")
     return "\n".join(lines)
 
 
@@ -53,9 +50,8 @@ def format_json(result: AnalysisResult) -> str:
         "suppressed": result.suppressed,
         "files_checked": result.files_checked,
         "rules": list(result.rule_ids),
+        "flow": dict(result.flow_stats),
     }
-    if result.flow_stats is not None:
-        summary["flow"] = dict(result.flow_stats)
     payload = {
         "schema": JSON_SCHEMA,
         "findings": [f.to_dict() for f in result.findings],

@@ -1,12 +1,12 @@
-"""Rule interface and shared AST helpers."""
+"""Rule interface."""
 
 from __future__ import annotations
 
 import abc
 import ast
-from typing import ClassVar, Dict, Iterator, Optional
+from typing import ClassVar, Iterator
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.source import ModuleSource
 
 
@@ -14,20 +14,13 @@ class Rule(abc.ABC):
     """One check. Subclasses set the class attributes and yield findings."""
 
     id: ClassVar[str]
-    severity: ClassVar[Severity]
     description: ClassVar[str]
 
     @abc.abstractmethod
     def check(self, src: ModuleSource) -> Iterator[Finding]:
         """Yield every violation of this rule in one module."""
 
-    def finding(
-        self,
-        src: ModuleSource,
-        node: ast.AST,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> Finding:
+    def finding(self, src: ModuleSource, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 0)
         column = getattr(node, "col_offset", 0) + 1
         return Finding(
@@ -35,66 +28,6 @@ class Rule(abc.ABC):
             line=line,
             column=column,
             rule_id=self.id,
-            severity=severity or self.severity,
             message=message,
             source_line=src.line_text(line),
         )
-
-
-def module_in(module: str, prefixes: "tuple[str, ...]") -> bool:
-    """True if ``module`` is one of ``prefixes`` or nested inside one."""
-    return any(module == p or module.startswith(p + ".") for p in prefixes)
-
-
-class ImportMap:
-    """Local name -> fully-qualified origin, built from a module's imports.
-
-    ``import numpy as np`` binds ``np -> numpy``; ``from datetime import
-    datetime as dt`` binds ``dt -> datetime.datetime``. Relative imports are
-    ignored — rules that resolve call targets only care about well-known
-    absolute modules (``time``, ``random``, ``numpy``...).
-    """
-
-    def __init__(self) -> None:
-        self._origins: Dict[str, str] = {}
-
-    @classmethod
-    def from_tree(cls, tree: ast.Module) -> "ImportMap":
-        imports = cls()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname is not None:
-                        imports._origins[alias.asname] = alias.name
-                    else:
-                        # ``import a.b`` binds the name ``a``.
-                        root = alias.name.split(".", 1)[0]
-                        imports._origins[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    imports._origins[local] = f"{node.module}.{alias.name}"
-        return imports
-
-    def origin(self, name: str) -> Optional[str]:
-        return self._origins.get(name)
-
-    def resolve(self, expr: ast.expr) -> Optional[str]:
-        """Dotted origin of a name/attribute chain, or None if unresolvable.
-
-        With ``import numpy as np``, the expression ``np.random.default_rng``
-        resolves to ``numpy.random.default_rng``. Chains not rooted in an
-        imported name (e.g. ``self.rng.choice``) resolve to None.
-        """
-        parts = []
-        node = expr
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = self._origins.get(node.id)
-        if base is None:
-            return None
-        parts.append(base)
-        return ".".join(reversed(parts))

@@ -4,17 +4,17 @@ The flow passes (:mod:`repro.analysis.flow`) are *interprocedural*: they
 need a project-wide index and call graph, so they cannot run inside the
 per-module :meth:`Rule.check` protocol. These classes exist to give the
 passes first-class rule identities — stable kebab-case ids that work with
-``--select`` / ``--ignore``, inline ``# pushlint: disable=...`` comments at
-the sink line, ``--list-rules`` and the docs drift test — while
-their per-module ``check`` is intentionally empty. The CLI runs the actual
-passes when invoked with ``--flow``.
+inline ``# pushlint: disable=...`` comments at the sink line,
+``--list-rules`` and the docs drift test — while their per-module
+``check`` is intentionally empty. Every pushlint run also runs the
+passes themselves.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Iterator, Tuple
+from typing import ClassVar, Iterator
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import ModuleSource
 
@@ -29,9 +29,8 @@ class FlowRule(Rule):
 
 class FlowNondetTaintRule(FlowRule):
     id: ClassVar[str] = "flow-nondet-taint"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
-        "whole-program (--flow): no nondeterminism source — wall-clock, "
+        "whole-program: no nondeterminism source — wall-clock, "
         "global RNG, unsorted filesystem enumeration, id()/hash() ordering "
         "— may transitively reach an emit/report/serialization sink or a "
         "PushAdMiner stage"
@@ -40,9 +39,8 @@ class FlowNondetTaintRule(FlowRule):
 
 class FlowParallelPurityRule(FlowRule):
     id: ClassVar[str] = "flow-parallel-purity"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
-        "whole-program (--flow): every callable shipped across the process "
+        "whole-program: every callable shipped across the process "
         "boundary (ExecutionPlan.stream/run, pool.submit) must be a "
         "module-level function whose transitive closure writes no module "
         "state and reaches no nondeterminism source"
@@ -51,9 +49,8 @@ class FlowParallelPurityRule(FlowRule):
 
 class FlowSharedStateRaceRule(FlowRule):
     id: ClassVar[str] = "flow-shared-state-race"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
-        "whole-program (--flow): no module-level location may be written "
+        "whole-program: no module-level location may be written "
         "by one concurrently-shipped kernel while another kernel (or the "
         "orchestrator, between submit and join) reads or writes the same "
         "location — write-write and read-write races"
@@ -62,9 +59,8 @@ class FlowSharedStateRaceRule(FlowRule):
 
 class FlowDenseAllocRule(FlowRule):
     id: ClassVar[str] = "flow-dense-alloc"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
-        "whole-program (--flow): no function in the sparse/parallel kernel "
+        "whole-program: no function in the sparse/parallel kernel "
         "region — ExecutionPlan-shipped kernels, storage=\"sparse\"-guarded "
         "paths, Sparse* surfaces — may allocate or broadcast a dense array "
         "whose symbolic size is quadratic in the record count; stream "
@@ -74,18 +70,9 @@ class FlowDenseAllocRule(FlowRule):
 
 class FlowUnstableOrderRule(FlowRule):
     id: ClassVar[str] = "flow-unstable-order"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
-        "whole-program (--flow): no default-kind np.argsort/np.sort "
+        "whole-program: no default-kind np.argsort/np.sort "
         "whose tie order can reach a merge or emit sink — pass "
         "kind=\"stable\""
     )
 
-
-FLOW_RULES: Tuple[type, ...] = (
-    FlowNondetTaintRule,
-    FlowParallelPurityRule,
-    FlowSharedStateRaceRule,
-    FlowDenseAllocRule,
-    FlowUnstableOrderRule,
-)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, FrozenSet, Iterator, Optional
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import ModuleSource
 
@@ -84,7 +84,6 @@ def _package_of(module: str) -> Optional[str]:
 
 class ImportLayeringRule(Rule):
     id: ClassVar[str] = "import-layering"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
         "imports must follow the package DAG (e.g. core never imports "
         "webenv/browser/crawler; util imports nothing from repro)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, FrozenSet, Iterator, List
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import ModuleSource
 
@@ -45,7 +45,6 @@ def _forbidden(module: str) -> "str | None":
 
 class NoNetworkImportsRule(Rule):
     id: ClassVar[str] = "no-network-imports"
-    severity: ClassVar[Severity] = Severity.ERROR
     description: ClassVar[str] = (
         "network modules (socket, requests, urllib.request, ...) must not "
         "be imported anywhere; the repro is offline by construction"

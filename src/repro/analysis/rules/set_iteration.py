@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, FrozenSet, Iterator, Optional
 
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import ModuleSource
 
@@ -46,7 +46,6 @@ def _call_name(node: ast.AST) -> Optional[str]:
 
 class DeterministicEmitRule(Rule):
     id: ClassVar[str] = "deterministic-emit"
-    severity: ClassVar[Severity] = Severity.WARNING
     description: ClassVar[str] = (
         "iterating a set into ordered output is order-nondeterministic "
         "across runs; wrap the set in sorted(...)"

@@ -1,13 +1,9 @@
 """Inline suppression directives.
 
-Two comment forms, parsed with :mod:`tokenize` so string literals that merely
-*contain* directive-looking text are never misread:
-
-* ``# pushlint: disable=rule-a,rule-b`` — suppress those rules on that
-  physical line (``# pushlint: disable`` with no ``=`` suppresses all rules
-  on the line);
-* ``# pushlint: disable-file=rule-a`` — suppress those rules for the whole
-  file (again, omitting ``=`` suppresses everything; use sparingly).
+One comment form, parsed with :mod:`tokenize` so string literals that
+merely *contain* directive-looking text are never misread:
+``# pushlint: disable=rule-a,rule-b`` suppresses those rules on that
+physical line.
 """
 
 from __future__ import annotations
@@ -15,21 +11,9 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
-_DIRECTIVE_RE = re.compile(
-    r"#\s*pushlint:\s*(?P<scope>disable-file|disable)\s*(?:=\s*(?P<rules>[\w,\s-]+))?"
-)
-
-# Sentinel meaning "every rule".
-ALL_RULES: FrozenSet[str] = frozenset({"*"})
-
-
-def _parse_rules(text: "str | None") -> FrozenSet[str]:
-    if text is None:
-        return ALL_RULES
-    rules = {chunk.strip() for chunk in text.split(",")}
-    return frozenset(r for r in rules if r)
+_DIRECTIVE_RE = re.compile(r"#\s*pushlint:\s*disable\s*=\s*(?P<rules>[\w,\s-]+)")
 
 
 class Suppressions:
@@ -37,7 +21,6 @@ class Suppressions:
 
     def __init__(self) -> None:
         self._by_line: Dict[int, Set[str]] = {}
-        self._file_wide: Set[str] = set()
 
     @classmethod
     def from_source(cls, text: str) -> "Suppressions":
@@ -52,18 +35,9 @@ class Suppressions:
             match = _DIRECTIVE_RE.search(tok.string)
             if match is None:
                 continue
-            rules = _parse_rules(match.group("rules"))
-            if match.group("scope") == "disable-file":
-                supp._file_wide.update(rules)
-            else:
-                supp._by_line.setdefault(tok.start[0], set()).update(rules)
+            rules = {chunk.strip() for chunk in match.group("rules").split(",")}
+            supp._by_line.setdefault(tok.start[0], set()).update(r for r in rules if r)
         return supp
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        for active in (self._file_wide, self._by_line.get(line, set())):
-            if rule_id in active or "*" in active:
-                return True
-        return False
-
-    def __bool__(self) -> bool:
-        return bool(self._by_line or self._file_wide)
+        return rule_id in self._by_line.get(line, ())

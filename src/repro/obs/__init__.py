@@ -7,8 +7,8 @@ needs to know where time and memory go. ``repro.obs`` squares that circle:
 * :class:`~repro.obs.clock.Clock` is an injectable time source.  The
   default :class:`~repro.obs.clock.NullClock` always reads 0.0, so traced
   runs stay bit-identical; :class:`~repro.obs.clock.PerfClock` reads the
-  host's monotonic performance counter and is the single call site the
-  pushlint ``no-wallclock`` rule permits (``repro/obs/clock.py``).
+  host's monotonic performance counter and is the single call site
+  pushlint's ``flow-nondet-taint`` pass exempts (``repro/obs/clock.py``).
 * :class:`~repro.obs.memory.MemoryMeter` does the same for allocation
   peaks: the default :class:`~repro.obs.memory.NullMemoryMeter` measures
   nothing (so no ``peak_bytes`` gauge appears and traces stay identical),

@@ -1,9 +1,10 @@
 """Injectable time sources for tracing.
 
 This module is the **only** place in ``src/repro`` where reading the host
-clock is legal: the pushlint ``no-wallclock`` rule exempts exactly
-``repro.obs.clock`` and flags every other call site.  Everything else must
-take a :class:`Clock` (or simulation time) as input.
+clock is legal: pushlint's ``flow-nondet-taint`` pass exempts exactly
+``repro.obs.clock`` and reports any other read that reaches an emit sink
+or pipeline stage.  Everything else must take a :class:`Clock` (or
+simulation time) as input.
 
 Two implementations cover both worlds:
 

@@ -1,10 +1,12 @@
 """Helpers for exercising pushlint rules on synthetic snippets."""
 
 import textwrap
-from typing import List
+from pathlib import Path
+from typing import List, Sequence
 
 import pytest
 
+from repro.analysis.engine import AnalysisEngine, AnalysisResult, load_sources
 from repro.analysis.finding import Finding
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import ModuleSource
@@ -16,6 +18,11 @@ def check_snippet(
     """Run one rule over one dedented snippet and return its findings."""
     src = ModuleSource(textwrap.dedent(code), path=f"{module}.py", module=module)
     return list(rule.check(src))
+
+
+def per_file_result(paths: Sequence[Path]) -> AnalysisResult:
+    """The per-file rules alone over ``paths`` (no flow passes)."""
+    return AnalysisEngine().check_loaded(load_sources(paths))
 
 
 @pytest.fixture

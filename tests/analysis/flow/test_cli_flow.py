@@ -1,4 +1,4 @@
-"""CLI surface of the whole-program passes: --flow, --explain, filters."""
+"""CLI surface of the whole-program passes: findings, chains, --explain."""
 
 import json
 import shutil
@@ -25,7 +25,7 @@ def run_cli(capsys, *argv):
 
 class TestFlowFlag:
     def test_flow_finds_interprocedural_taint(self, taint_tree, capsys):
-        code, out, _ = run_cli(capsys, "--flow", taint_tree)
+        code, out, _ = run_cli(capsys, taint_tree)
         assert code == 1
         assert "flow-nondet-taint" in out
         assert "via " in out  # chain hops rendered under the finding
@@ -41,22 +41,17 @@ class TestFlowFlag:
             return from_path(cls, path, **kwargs)
 
         monkeypatch.setattr(ModuleSource, "from_path", classmethod(counting))
-        code, out, _ = run_cli(capsys, "--flow", taint_tree)
+        code, out, _ = run_cli(capsys, taint_tree)
         assert sorted(read) == sorted(taint_tree.rglob("*.py"))
         assert code == 1
         assert "parse-error" in out
 
-    def test_without_flow_the_sink_module_passes(self, taint_tree, capsys):
-        code, out, _ = run_cli(capsys, taint_tree / "reporters.py")
-        assert code == 0
-        assert "no findings" in out
-
-    def test_json_schema_v3_with_chains_and_stats(self, taint_tree, capsys):
+    def test_json_schema_v4_with_chains_and_stats(self, taint_tree, capsys):
         _, out, _ = run_cli(
-            capsys, "--flow", "--format", "json", taint_tree
+            capsys, "--format", "json", taint_tree
         )
         payload = json.loads(out)
-        assert payload["schema"] == "repro-lint/3"
+        assert payload["schema"] == "repro-lint/4"
         assert payload["summary"]["flow"] == {"modules": 4}
         assert "baselined" not in payload["summary"]
         flow = [
@@ -67,32 +62,6 @@ class TestFlowFlag:
         assert flow
         assert all(len(f["chain"]) >= 2 for f in flow)
 
-    def test_select_runs_flow_rules_in_isolation(self, taint_tree, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "--flow",
-            "--select",
-            "flow-nondet-taint",
-            taint_tree,
-        )
-        assert code == 1
-        assert "flow-nondet-taint" in out
-        # Per-file findings (the time.time in clockio) are deselected.
-        assert "no-wallclock" not in out
-
-    def test_ignore_skips_a_flow_pass(self, taint_tree, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "--flow",
-            "--select",
-            "flow-nondet-taint,flow-parallel-purity",
-            "--ignore",
-            "flow-nondet-taint",
-            taint_tree,
-        )
-        assert code == 0
-        assert "flow-nondet-taint" not in out
-
     def test_list_rules_includes_flow_rules(self, capsys):
         code, out, _ = run_cli(capsys, "--list-rules")
         assert code == 0
@@ -102,7 +71,7 @@ class TestFlowFlag:
 class TestExplain:
     def _fingerprint(self, capsys, tree):
         _, out, _ = run_cli(
-            capsys, "--flow", "--format", "json", tree
+            capsys, "--format", "json", tree
         )
         payload = json.loads(out)
         flow = [
@@ -138,7 +107,7 @@ class TestExplain:
     def test_explain_shows_suppressed_findings(self, taint_tree, capsys):
         # format_sanctioned is silenced in normal output but explainable.
         _, out, _ = run_cli(
-            capsys, "--flow", "--format", "json", taint_tree
+            capsys, "--format", "json", taint_tree
         )
         assert "format_sanctioned" not in out
         code, out, _ = run_cli(
@@ -176,7 +145,7 @@ class TestExplainPrefixAmbiguity:
         # the same ship statement in two orchestrators) legitimately
         # share one fingerprint and are not an ambiguity.
         _, out, _ = run_cli(
-            capsys, "--flow", "--format", "json", *trees
+            capsys, "--format", "json", *trees
         )
         return sorted({f["fingerprint"] for f in json.loads(out)["findings"]})
 

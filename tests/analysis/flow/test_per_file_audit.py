@@ -1,72 +1,70 @@
-"""Why each rule that overlaps another check stays in pushlint.
+"""Every pushlint rule earns its place with a mutation of real code.
 
-Per-file rules: ``no-wallclock`` and ``no-unseeded-rng`` overlap
-``flow-nondet-taint``'s sources. A per-file rule earns its place only if some code
-trips it that no flow pass reports: each case below is such a snippet,
-run through the rule and through ``run_flow`` with every flow pass
-selected. ``deterministic-emit`` overlaps no flow pass (none models set
-iteration order); its case stays to show that it is the only check of
-set order frozen into output.
-
-Flow rules: each one earns its place with a seeded mutation of a real
-``src/repro`` function (:data:`FLOW_MUTATIONS`) that breaks a stated
-contract — run-to-run, worker or cross-host identity, or the O(tile*n)
-memory bound of the sparse region — while tier-1, ``REPRO_DETSAN=1``
-tier-1 and the hypothesis properties still pass. The test here pins
-the rule-fires half: with the mutation applied, the whole-program run
-reports that rule and no other. ``docs/ANALYSIS.md`` ("Every flow rule
-earns its place") says which contract each mutation breaks and how.
+Each row of :data:`PER_FILE_MUTATIONS` and :data:`FLOW_MUTATIONS` is a
+seeded text edit of one real ``src/repro`` module that breaks a stated
+contract — offline by construction, the package DAG, run-to-run, worker
+or cross-host identity, or the O(tile*n) memory bound of the sparse
+region — while tier-1, ``REPRO_DETSAN=1`` tier-1 and every other rule
+miss it. The tests here pin the rule-fires half: with the mutation
+applied, the full rule set (per-file rules and flow passes) reports that
+rule and no other. ``docs/ANALYSIS.md`` ("Every rule earns its place")
+says which contract each mutation breaks and how that was shown, and
+which rules went because their mutations are caught elsewhere.
 """
 
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import ALL_RULES, AnalysisEngine
 from repro.analysis.flow import ProjectIndex, run_flow
 from repro.analysis.flow.extract import extract_module
-from repro.analysis.rules import FLOW_RULE_IDS, rules_by_id
+from repro.analysis.rules import FLOW_RULE_IDS
 from repro.analysis.source import ModuleSource
 
-from tests.analysis.conftest import check_snippet
-from tests.analysis.flow.conftest import write_package
-
-CAUGHT_ONLY_PER_FILE = {
-    # A clock read whose value reaches no emit sink or pipeline stage.
-    "no-wallclock": """
-        import time
-
-
-        def elapsed(start):
-            return time.time() - start
-        """,
-    # A global-RNG draw in a helper nothing reproducible calls.
-    "no-unseeded-rng": """
-        import random
-
-
-        def pick(items):
-            return random.choice(items)
-        """,
-    # Set order frozen into a list outside any shipped kernel.
-    "deterministic-emit": """
-        def names(items):
-            return list({item.name for item in items})
-        """,
-}
-
-
-@pytest.mark.parametrize("rule_id", sorted(CAUGHT_ONLY_PER_FILE))
-def test_per_file_rule_catches_what_flow_does_not(tmp_path, rule_id):
-    code = CAUGHT_ONLY_PER_FILE[rule_id]
-    assert len(check_snippet(rules_by_id()[rule_id](), code)) == 1
-    write_package(tmp_path, "auditpkg", {"mod": code})
-    result = run_flow([tmp_path / "auditpkg"])
-    assert result.all_findings == [], [
-        ff.finding.rule_id for ff in result.all_findings
-    ]
-
-
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
+
+#: Per-file rule -> (module, [(old, new), ...]): text edits of one real
+#: module.
+PER_FILE_MUTATIONS = {
+    # The listen banner resolves the host's fully qualified name: a DNS
+    # lookup on the serving path, which tier-1 never starts.
+    "no-network-imports": (
+        "repro.serve.wsgi",
+        [
+            ("import json\n", "import json\nimport socket\n"),
+            (
+                'print(f"repro.serve listening on http://{host}:{port} "',
+                'print(f"repro.serve listening on '
+                'http://{socket.getfqdn(host)}:{port} "',
+            ),
+        ],
+    ),
+    # The crawler types leave the TYPE_CHECKING block: the miner's
+    # report module now loads the simulated crawl at run time.
+    "import-layering": (
+        "repro.core.report",
+        [(
+            "if TYPE_CHECKING:  # crawler sits above core in the package DAG\n"
+            "    import networkx as nx\n\n"
+            "    from repro.crawler.harvest import WpnDataset\n"
+            "    from repro.crawler.seeds import SeedDiscovery\n",
+            "from repro.crawler.harvest import WpnDataset\n"
+            "from repro.crawler.seeds import SeedDiscovery\n\n"
+            "if TYPE_CHECKING:\n"
+            "    import networkx as nx\n",
+        )],
+    ),
+    # The --trace tree prints each span's metrics in set order, which the
+    # per-process string hash salt decides.
+    "deterministic-emit": (
+        "repro.obs.reporters",
+        [(
+            "    for key in sorted(span.metrics):\n",
+            "    for key in set(span.metrics):\n",
+        )],
+    ),
+}
 
 #: Flow rule -> (module, [(old, new), ...]): text edits of one real module.
 FLOW_MUTATIONS = {
@@ -168,8 +166,34 @@ def src_index():
     return ProjectIndex.build([SRC])
 
 
+def rules_reporting(src_index, module, edits):
+    """Every rule id the full rule set reports with one mutation applied."""
+    clean = src_index.modules[module]
+    src = ModuleSource(
+        mutated_source(module, edits),
+        path=clean.path,
+        module=module,
+        is_package=False,
+    )
+    per_file, _ = AnalysisEngine().check_source(src)
+    index = ProjectIndex({**src_index.modules, module: extract_module(src)})
+    flow = run_flow([SRC], index=index)
+    return sorted({f.rule_id for f in [*per_file, *flow.findings]})
+
+
 def test_every_flow_rule_has_an_audit_mutation():
     assert sorted(FLOW_MUTATIONS) == sorted(FLOW_RULE_IDS)
+
+
+def test_every_per_file_rule_has_an_audit_mutation():
+    per_file = [r.id for r in ALL_RULES if r.id not in FLOW_RULE_IDS]
+    assert sorted(PER_FILE_MUTATIONS) == sorted(per_file)
+
+
+@pytest.mark.parametrize("rule_id", sorted(PER_FILE_MUTATIONS))
+def test_per_file_rule_catches_what_flow_does_not(src_index, rule_id):
+    module, edits = PER_FILE_MUTATIONS[rule_id]
+    assert rules_reporting(src_index, module, edits) == [rule_id]
 
 
 @pytest.mark.parametrize("rule_id", sorted(FLOW_MUTATIONS))
@@ -177,18 +201,4 @@ def test_flow_rule_reports_its_mutation_and_no_other_rule_does(
     src_index, rule_id
 ):
     module, edits = FLOW_MUTATIONS[rule_id]
-    clean = src_index.modules[module]
-    mutated = extract_module(
-        ModuleSource(
-            mutated_source(module, edits),
-            path=clean.path,
-            module=module,
-            is_package=False,
-        )
-    )
-    index = ProjectIndex({**src_index.modules, module: mutated})
-    result = run_flow([SRC], index=index)
-    assert result.findings, f"{rule_id} missed its mutation"
-    assert {f.rule_id for f in result.findings} == {rule_id}, [
-        f"{f.rule_id}: {f.message}" for f in result.findings
-    ]
+    assert rules_reporting(src_index, module, edits) == [rule_id]

@@ -8,9 +8,9 @@ write would silently break worker-count byte-identity.
 
 from pathlib import Path
 
-from repro.analysis import AnalysisEngine
 from repro.analysis.flow import run_flow
 
+from tests.analysis.conftest import per_file_result
 from tests.analysis.flow.conftest import FIXTURES, flow_over, write_package
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
@@ -26,7 +26,7 @@ def purity_findings(result):
 
 class TestSubmitShips:
     def test_driver_module_is_per_file_clean(self):
-        result = AnalysisEngine().run([FIXTURES / "purepkg" / "driver.py"])
+        result = per_file_result([FIXTURES / "purepkg" / "driver.py"])
         assert result.ok, [str(f) for f in result.findings]
 
     def test_impure_kernel_flagged_at_ship_site(self):

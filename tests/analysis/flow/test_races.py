@@ -1,8 +1,8 @@
 """The shared-state race pass on racepkg."""
 
-from repro.analysis import AnalysisEngine
 from repro.analysis.flow import run_flow
 
+from tests.analysis.conftest import per_file_result
 from tests.analysis.flow.conftest import FIXTURES, flow_over, write_package
 
 
@@ -16,7 +16,7 @@ def races(result):
 
 class TestFixtureHygiene:
     def test_racepkg_is_per_file_clean(self):
-        result = AnalysisEngine().run([FIXTURES / "racepkg"])
+        result = per_file_result([FIXTURES / "racepkg"])
         assert result.ok, [str(f) for f in result.findings]
 
 

@@ -201,7 +201,7 @@ GOLDEN_JSON = {
         "reachable from 'shapepkg.kernels.bad_kernel' in 1 call hop(s); "
         'stream O(tile*n) rows or keep sparse storage (--explain '
         'prints the chain)", "path": "shapepkg/kernels.py", '
-        '"rule": "flow-dense-alloc", "severity": "error"}'
+        '"rule": "flow-dense-alloc"}'
     ),
     "flow-unstable-order": (
         '{"chain": ["shapepkg.order.emit_ranking (shapepkg/order.py:12)", '
@@ -213,12 +213,12 @@ GOLDEN_JSON = {
         "shapepkg/order.py:9 \\u2014 default-kind sort is not stable under "
         'float ties; pass kind=\\"stable\\" (1 call hop(s); --explain prints '
         'the chain)", "path": "shapepkg/order.py", '
-        '"rule": "flow-unstable-order", "severity": "error"}'
+        '"rule": "flow-unstable-order"}'
     ),
 }
 
 GOLDEN_EXPLAIN = (
-    "shapepkg/kernels.py:13:1: error [flow-dense-alloc]\n"
+    "shapepkg/kernels.py:13:1: [flow-dense-alloc]\n"
     "  O(n^2) allocation numpy.zeros((n:big, n:big)) in the sparse/parallel "
     "kernel region — ExecutionPlan-shipped kernel, reachable from "
     "'shapepkg.kernels.bad_kernel' in 1 call hop(s); stream O(tile*n) rows "
@@ -251,9 +251,9 @@ class TestGoldenOutput:
 
     def test_json_findings_are_byte_identical(self, tmp_path):
         root = self._project_root(tmp_path)
-        proc = self._run(root, "--flow", "--format", "json")
+        proc = self._run(root, "--format", "json")
         payload = json.loads(proc.stdout)
-        assert payload["schema"] == "repro-lint/3"
+        assert payload["schema"] == "repro-lint/4"
         for rule_id, golden in GOLDEN_JSON.items():
             found = [f for f in payload["findings"] if f["rule"] == rule_id]
             assert found, rule_id

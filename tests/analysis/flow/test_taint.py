@@ -7,10 +7,10 @@ the per-file engine *provably cannot produce*.
 
 from pathlib import Path
 
-from repro.analysis import AnalysisEngine
 from repro.analysis.flow import run_flow
 from repro.analysis.flow.taint import SINK_NAME_RE, _is_sink
 
+from tests.analysis.conftest import per_file_result
 from tests.analysis.flow.conftest import FIXTURES, flow_over, write_package
 
 
@@ -25,7 +25,7 @@ def taint_findings(result):
 class TestTaintPkg:
     def test_sink_module_is_per_file_clean(self):
         # The proof that the flow pass sees something per-file rules can't.
-        result = AnalysisEngine().run([FIXTURES / "taintpkg" / "reporters.py"])
+        result = per_file_result([FIXTURES / "taintpkg" / "reporters.py"])
         assert result.ok, [str(f) for f in result.findings]
 
     def test_wallclock_taint_reaches_sink_through_two_modules(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.cli import main
 
-BAD = "import time\nx = time.time()\n"
+BAD = "import json\nimport socket\n"
 
 
 @pytest.fixture
@@ -31,37 +31,24 @@ class TestCli:
     def test_findings_exit_one_with_human_output(self, bad_tree, capsys):
         code, out, _ = run_cli(capsys, bad_tree)
         assert code == 1
-        assert "no-wallclock" in out
-        assert "mod.py:2" in out
+        assert "mod.py:2:1: [no-network-imports]" in out
 
     def test_json_format(self, bad_tree, capsys):
         code, out, _ = run_cli(capsys, bad_tree, "--format", "json")
         assert code == 1
         payload = json.loads(out)
         assert payload["summary"]["findings"] == 1
-        assert payload["findings"][0]["rule"] == "no-wallclock"
+        assert payload["findings"][0]["rule"] == "no-network-imports"
 
     def test_lone_warning_finding_exits_one(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(
-            "try:\n    pass\nexcept:\n    pass\n"
-        )
+        # deterministic-emit once carried a "warning" label; no finding
+        # has a severity now, and any one fails the run.
+        (tmp_path / "mod.py").write_text('names = list({"a", "b"})\n')
         code, out, _ = run_cli(capsys, tmp_path, "--format", "json")
         assert code == 1
         findings = json.loads(out)["findings"]
-        assert [(f["rule"], f["severity"]) for f in findings] == [
-            ("no-bare-except", "warning")
-        ]
-
-    def test_select_and_ignore(self, bad_tree, capsys):
-        code, _, _ = run_cli(capsys, bad_tree, "--select", "no-bare-except")
-        assert code == 0
-        code, _, _ = run_cli(capsys, bad_tree, "--ignore", "no-wallclock")
-        assert code == 0
-
-    def test_unknown_rule_is_usage_error(self, bad_tree, capsys):
-        code, _, err = run_cli(capsys, bad_tree, "--select", "no-such-rule")
-        assert code == 2
-        assert "unknown rule" in err
+        assert [f["rule"] for f in findings] == ["deterministic-emit"]
+        assert "severity" not in findings[0]
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, tmp_path / "absent")
@@ -72,13 +59,8 @@ class TestCli:
         code, out, _ = run_cli(capsys, "--list-rules")
         assert code == 0
         for rule_id in (
-            "no-wallclock",
-            "no-unseeded-rng",
             "no-network-imports",
             "import-layering",
-            "no-mutable-default",
-            "no-bare-except",
             "deterministic-emit",
-            "public-api-annotations",
         ):
             assert rule_id in out

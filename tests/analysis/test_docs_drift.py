@@ -35,7 +35,7 @@ def test_every_registered_rule_is_documented():
 
 def test_flow_rules_have_their_own_section():
     text = DOC.read_text(encoding="utf-8")
-    assert "--flow" in text
+    assert "## Whole-program passes" in text
     assert "--explain" in text
     assert "flow-nondet-taint" in text
     assert "flow-parallel-purity" in text

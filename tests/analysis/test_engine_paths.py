@@ -92,19 +92,19 @@ class TestDisplayPath:
         self, tmp_path, monkeypatch
     ):
         # End to end: findings carry the same path whatever the CWD is.
-        from repro.analysis import AnalysisEngine
+        from repro.analysis import lint
 
         project = tmp_path / "proj"
         (project / "sub").mkdir(parents=True)
         (project / "pyproject.toml").write_text("[project]\n")
         bad = project / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
+        bad.write_text("import socket\n")
         _root_cache.clear()
         try:
             monkeypatch.chdir(project)
-            at_root = AnalysisEngine().run([bad]).findings
+            at_root = lint([bad])[0].findings
             monkeypatch.chdir(project / "sub")
-            in_sub = AnalysisEngine().run([Path(os.pardir) / "bad.py"]).findings
+            in_sub = lint([Path(os.pardir) / "bad.py"])[0].findings
             assert at_root and in_sub
             assert at_root[0].path == in_sub[0].path == "bad.py"
             assert at_root[0].fingerprint == in_sub[0].fingerprint

@@ -1,4 +1,4 @@
-"""Golden tests pinning the ``repro-lint/3`` JSON reporter output.
+"""Golden tests pinning the ``repro-lint/4`` JSON reporter output.
 
 The JSON payload is a machine interface (CI annotations, dashboards), so
 its shape is pinned byte-for-byte on a synthetic result, and its
@@ -10,7 +10,7 @@ import json
 import textwrap
 
 from repro.analysis.engine import AnalysisResult
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.flow import run_flow
 from repro.analysis.reporters import JSON_SCHEMA, format_json
 
@@ -19,23 +19,21 @@ from tests.analysis.flow.conftest import FIXTURES
 GOLDEN = textwrap.dedent(
     """\
     {
-      "schema": "repro-lint/3",
+      "schema": "repro-lint/4",
       "findings": [
         {
           "path": "pkg/mod.py",
           "line": 7,
-          "column": 3,
-          "rule": "no-wallclock",
-          "severity": "error",
-          "message": "wall-clock read",
-          "fingerprint": "6ba86dbc22ef9083"
+          "column": 1,
+          "rule": "no-network-imports",
+          "message": "network import",
+          "fingerprint": "f3f3316853dd34ff"
         },
         {
           "path": "pkg/sink.py",
           "line": 12,
           "column": 1,
           "rule": "flow-nondet-taint",
-          "severity": "error",
           "message": "taint reaches sink",
           "fingerprint": "6912c84cf4cd74ca",
           "chain": [
@@ -50,7 +48,7 @@ GOLDEN = textwrap.dedent(
         "suppressed": 1,
         "files_checked": 2,
         "rules": [
-          "no-wallclock",
+          "no-network-imports",
           "flow-nondet-taint"
         ],
         "flow": {
@@ -65,18 +63,16 @@ def golden_result() -> AnalysisResult:
     plain = Finding(
         path="pkg/mod.py",
         line=7,
-        column=3,
-        rule_id="no-wallclock",
-        severity=Severity.ERROR,
-        message="wall-clock read",
-        source_line="t = time.time()",
+        column=1,
+        rule_id="no-network-imports",
+        message="network import",
+        source_line="import socket",
     )
     flow = Finding(
         path="pkg/sink.py",
         line=12,
         column=1,
         rule_id="flow-nondet-taint",
-        severity=Severity.ERROR,
         message="taint reaches sink",
         source_line="def emit(x):",
         chain=(
@@ -89,7 +85,7 @@ def golden_result() -> AnalysisResult:
         findings=[plain, flow],
         suppressed=1,
         files_checked=2,
-        rule_ids=("no-wallclock", "flow-nondet-taint"),
+        rule_ids=("no-network-imports", "flow-nondet-taint"),
         flow_stats={"modules": 2},
     )
 
@@ -100,7 +96,7 @@ def test_json_payload_is_byte_golden():
 
 def test_schema_and_finding_fields_are_pinned():
     payload = json.loads(format_json(golden_result()))
-    assert payload["schema"] == JSON_SCHEMA == "repro-lint/3"
+    assert payload["schema"] == JSON_SCHEMA == "repro-lint/4"
     assert list(payload) == ["schema", "findings", "summary"]
     plain, flow = payload["findings"]
     assert list(plain) == [
@@ -108,7 +104,6 @@ def test_schema_and_finding_fields_are_pinned():
         "line",
         "column",
         "rule",
-        "severity",
         "message",
         "fingerprint",
     ]

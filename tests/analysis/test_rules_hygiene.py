@@ -1,69 +1,8 @@
-"""Unit tests for no-mutable-default, no-bare-except, deterministic-emit,
-and public-api-annotations."""
+"""Unit tests for deterministic-emit."""
 
-from repro.analysis.rules.annotations import PublicApiAnnotationsRule
-from repro.analysis.rules.hygiene import NoBareExceptRule, NoMutableDefaultRule
 from repro.analysis.rules.set_iteration import DeterministicEmitRule
 
 from tests.analysis.conftest import check_snippet
-
-
-class TestNoMutableDefault:
-    def test_flags_literal_and_constructor_defaults(self):
-        findings = check_snippet(
-            NoMutableDefaultRule(),
-            """
-            def f(a=[], b={}, c=set(), d=dict(), e=[x for x in "ab"]):
-                pass
-            """,
-        )
-        assert len(findings) == 5
-
-    def test_flags_kwonly_and_lambda_defaults(self):
-        findings = check_snippet(
-            NoMutableDefaultRule(),
-            """
-            def f(*, cache={}):
-                pass
-
-            g = lambda xs=[]: xs
-            """,
-        )
-        assert len(findings) == 2
-
-    def test_immutable_defaults_are_fine(self):
-        findings = check_snippet(
-            NoMutableDefaultRule(),
-            """
-            def f(a=None, b=0, c="x", d=(), e=frozenset()):
-                pass
-            """,
-        )
-        # frozenset() is immutable but set-like; the rule only targets the
-        # genuinely mutable constructors.
-        assert findings == []
-
-
-class TestNoBareExcept:
-    def test_flags_bare_except_only(self):
-        findings = check_snippet(
-            NoBareExceptRule(),
-            """
-            try:
-                x = 1
-            except:
-                pass
-
-            try:
-                y = 2
-            except ValueError:
-                pass
-            except (KeyError, TypeError) as exc:
-                raise RuntimeError from exc
-            """,
-        )
-        assert len(findings) == 1
-        assert findings[0].line == 4
 
 
 class TestDeterministicEmit:
@@ -127,65 +66,5 @@ class TestDeterministicEmit:
             for x in xs:
                 print(x)
             """,
-        )
-        assert findings == []
-
-
-class TestPublicApiAnnotations:
-    def test_flags_missing_params_and_return_in_core(self):
-        findings = check_snippet(
-            PublicApiAnnotationsRule(),
-            """
-            def table(dataset, limit: int = 5):
-                return []
-            """,
-            module="repro.core.report",
-        )
-        assert len(findings) == 1
-        assert "dataset" in findings[0].message
-        assert "return" in findings[0].message
-        assert "limit" not in findings[0].message
-
-    def test_methods_skip_self_and_cls(self):
-        findings = check_snippet(
-            PublicApiAnnotationsRule(),
-            """
-            class Miner:
-                def run(self, records) -> None:
-                    pass
-
-                @classmethod
-                def build(cls) -> "Miner":
-                    return cls()
-            """,
-            module="repro.core.pipeline",
-        )
-        assert len(findings) == 1
-        assert "records" in findings[0].message
-
-    def test_private_nested_and_non_core_are_exempt(self):
-        code = """
-        def _helper(x):
-            pass
-
-        def outer() -> None:
-            def inner(y):
-                pass
-        """
-        assert check_snippet(PublicApiAnnotationsRule(), code, module="repro.core.x") == []
-        # Entirely out of scope outside repro.core:
-        bad = "def f(x):\n    pass\n"
-        assert check_snippet(PublicApiAnnotationsRule(), bad, module="repro.webenv.x") == []
-
-    def test_fully_annotated_is_clean(self):
-        findings = check_snippet(
-            PublicApiAnnotationsRule(),
-            """
-            from typing import Any, List
-
-            def rows(dataset: object, *extras: str, top: int = 2, **kw: Any) -> List[str]:
-                return []
-            """,
-            module="repro.core.report",
         )
         assert findings == []
