@@ -187,12 +187,13 @@ print(
 )
 PYEOF
 
-# The perf and incremental suites (nearest-row kernels, absorb, its fuzz
-# property and the convergence contract) once more with a session-wide
-# sanitizer installed by REPRO_DETSAN=1.
-step "DetSan pytest (REPRO_DETSAN=1 python -m pytest -q tests/perf tests/incremental)"
+# The perf and incremental suites (nearest-row kernels, the kept pool,
+# absorb, its fuzz property and the convergence contract) and serve's
+# core (classify at 1, 2 and 4 workers on the kept pool) once more with a
+# session-wide sanitizer installed by REPRO_DETSAN=1.
+step "DetSan pytest (REPRO_DETSAN=1 python -m pytest -q tests/perf tests/incremental tests/serve/test_core.py)"
 start=$SECONDS
-REPRO_DETSAN=1 python -m pytest -q tests/perf tests/incremental || failures=$((failures + 1))
+REPRO_DETSAN=1 python -m pytest -q tests/perf tests/incremental tests/serve/test_core.py || failures=$((failures + 1))
 echo "DetSan pytest step: $((SECONDS - start))s"
 
 # The end-to-end benchmark's own tests: a smoke run of both workloads

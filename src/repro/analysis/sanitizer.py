@@ -52,7 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Sequence
 
-from repro.perf.plan import ExecutionPlan, Tile
+from repro.perf.plan import ExecutionPlan, Tile, tile_operands
 
 _DEFAULT_SEED = 213
 
@@ -306,7 +306,7 @@ class DetSan:
     ) -> None:
         """Recompute each tile serially, canonically; compare checksums."""
         for index, tile in enumerate(tiles):
-            canonical = _checksum(kernel(operands, tile))
+            canonical = _checksum(kernel(tile_operands(operands, tile), tile))
             self.report.tiles_verified += 1
             if checksums[index] is None or canonical is None:
                 continue

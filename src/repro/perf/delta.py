@@ -39,7 +39,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.perf.blocking import DEFAULT_SPARSE_BOUND, _SCREEN_MARGIN, _SOFT_CHUNK
-from repro.perf.kernels import QueryOperands, query_distance_tile
+from repro.perf.kernels import QueryOperands, check_tile_cut, query_distance_tile
 from repro.perf.plan import ExecutionPlan, Tile
 
 
@@ -73,6 +73,8 @@ class QueryNearest:
 def query_min_tile(operands: QueryOperands, tile: Tile) -> TileMinima:
     """Exhaustive per-query minimum over one corpus row tile.
 
+    ``operands`` is :meth:`~repro.perf.kernels.QueryOperands.for_tile`'s
+    cut, as :meth:`~repro.perf.plan.ExecutionPlan.stream` ships it.
     Returns ``(min_vals, argmin_cols, 0, 0)``: each query's smallest
     :func:`~repro.perf.kernels.query_distance_tile` entry and its global
     column, ties to the lowest (as ``np.argmin``).  Pure and module-level
@@ -91,6 +93,8 @@ def query_candidate_min_tile(
 ) -> TileMinima:
     """Blocked per-query minimum over one corpus row tile.
 
+    ``operands`` is :meth:`~repro.perf.kernels.QueryOperands.for_tile`'s
+    cut, as :meth:`~repro.perf.plan.ExecutionPlan.stream` ships it.
     Returns ``(min_vals, argmin_cols, n_raw, n_scored)``: for each query,
     the smallest exact combined distance to a scored candidate in this
     tile (``inf`` when none) and its global corpus column (``-1`` when
@@ -105,6 +109,7 @@ def query_candidate_min_tile(
     if not 0.0 < bound <= 0.5:
         raise ValueError(f"bound must be in (0, 0.5], got {bound}")
     corpus = operands.corpus
+    check_tile_cut(corpus, tile)
     q = operands.n_queries
     min_vals = np.full(q, np.inf, dtype=np.float64)
     argmin_cols = np.full(q, -1, dtype=np.int64)
@@ -112,31 +117,24 @@ def query_candidate_min_tile(
     # Candidate enumeration, exactly as the pairwise blocking stage: the
     # sparse membership product is the inverted-index lookup, and the
     # URL-empty queries form a clique with the tile's URL-empty rows.
-    member = corpus.url_member[tile.start:tile.stop]
-    inter = (operands.q_url_member @ member.T).tocsr()
+    inter = (operands.q_url_member @ corpus.url_member.T).tocsr()
     rows = np.repeat(
         np.arange(q, dtype=np.int64), np.diff(inter.indptr)
     )
-    cols_local = inter.indices.astype(np.int64)
+    cols = inter.indices.astype(np.int64)
     inter_vals = inter.data.astype(np.float64)
 
-    empty_cols = np.flatnonzero(
-        corpus.url_empty[tile.start:tile.stop]
-    ).astype(np.int64)
+    empty_cols = np.flatnonzero(corpus.url_empty).astype(np.int64)
     empty_qs = np.flatnonzero(operands.q_url_empty).astype(np.int64)
     if empty_qs.size and empty_cols.size:
         rows = np.concatenate([rows, np.repeat(empty_qs, empty_cols.size)])
-        cols_local = np.concatenate(
-            [cols_local, np.tile(empty_cols, empty_qs.size)]
-        )
+        cols = np.concatenate([cols, np.tile(empty_cols, empty_qs.size)])
         inter_vals = np.concatenate(
             [inter_vals, np.zeros(empty_qs.size * empty_cols.size)]
         )
     n_raw = int(rows.size)
     if n_raw == 0:
         return min_vals, argmin_cols, 0, 0
-
-    cols = cols_local + np.int64(tile.start)
 
     # URL screen in cleared-fraction form (see candidate_distance_tile):
     # url >= 2*bound certifies total >= bound; both-empty entries
@@ -145,7 +143,7 @@ def query_candidate_min_tile(
     keep = (
         inter_vals > (1.0 - 2.0 * bound - _SCREEN_MARGIN) * union
     ) | (union == 0.0)
-    rows, cols_local, cols = rows[keep], cols_local[keep], cols[keep]
+    rows, cols = rows[keep], cols[keep]
     inter_vals, union = inter_vals[keep], union[keep]
 
     # URL channel for the survivors — the dense query kernel's scalar
@@ -159,11 +157,8 @@ def query_candidate_min_tile(
 
     # Exact bag-of-words cosine, gathered from the same (q, tile.size)
     # product the dense query kernel materializes.
-    prod = np.asarray(
-        (operands.q_bow_normed @ corpus.bow_normed[tile.start:tile.stop].T)
-        .toarray()
-    )
-    cos_exact = prod[rows, cols_local]
+    prod = np.asarray((operands.q_bow_normed @ corpus.bow_normed.T).toarray())
+    cos_exact = prod[rows, cols]
 
     # Cosine screen, cleared form: sim <= blend*cos + (1-blend) bounds
     # total >= (1 - sim_ub + url) / 2 from below.
@@ -171,7 +166,7 @@ def query_candidate_min_tile(
     keep = blend * cos_exact > url + (
         blend - 2.0 * bound - 2.0 * _SCREEN_MARGIN
     )
-    rows, cols_local, cols = rows[keep], cols_local[keep], cols[keep]
+    rows, cols = rows[keep], cols[keep]
     url, cos_exact = url[keep], cos_exact[keep]
     n_scored = int(rows.size)
     if n_scored == 0:
@@ -199,11 +194,11 @@ def query_candidate_min_tile(
 
     # Per-query minimum with ties to the lowest column: group by query,
     # then ascending distance, then ascending column, and keep each
-    # query's first entry.
+    # query's first entry; columns are tile-local until reported.
     order = np.lexsort((cols, total, rows))
     firsts = np.unique(rows[order], return_index=True)
     min_vals[firsts[0]] = total[order][firsts[1]]
-    argmin_cols[firsts[0]] = cols[order][firsts[1]]
+    argmin_cols[firsts[0]] = cols[order][firsts[1]] + np.int64(tile.start)
     return min_vals, argmin_cols, n_raw, n_scored
 
 

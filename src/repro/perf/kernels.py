@@ -24,7 +24,7 @@ need no symmetrization pass. ``tests/perf`` locks all of this down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -145,6 +145,9 @@ class QueryOperands:
     documents. ``q_url_sizes`` are the *true* query token-set sizes —
     including tokens outside the corpus URL vocabulary, which can never
     intersect a corpus set but still belong in the Jaccard union.
+
+    A query kernel reads only its tile's corpus rows, so it receives
+    :meth:`for_tile`'s cut, never the whole corpus.
     """
 
     corpus: PairwiseOperands
@@ -159,27 +162,57 @@ class QueryOperands:
     def n_queries(self) -> int:
         return self.q_doc_emb.shape[0]
 
+    def for_tile(self, tile: Tile) -> QueryOperands:
+        """These operands with the corpus cut to rows ``[start, stop)``.
+
+        The query side stays whole.  Each cut array holds the same row
+        data as the whole corpus, so a kernel over the cut computes every
+        entry from the same values in the same order.
+        """
+        corpus = self.corpus
+        rows = slice(tile.start, tile.stop)
+        return replace(
+            self,
+            corpus=PairwiseOperands(
+                bow_normed=corpus.bow_normed[rows],
+                doc_emb=corpus.doc_emb[rows],
+                zero_rows=corpus.zero_rows[rows],
+                blend=corpus.blend,
+                url_member=corpus.url_member[rows],
+                url_sizes=corpus.url_sizes[rows],
+                url_empty=corpus.url_empty[rows],
+            ),
+        )
+
+
+def check_tile_cut(corpus: PairwiseOperands, tile: Tile) -> None:
+    """Refuse a query kernel's corpus that is not ``tile``'s cut."""
+    if corpus.n != tile.size:
+        raise ValueError(
+            f"query kernel got {corpus.n} corpus rows for tile "
+            f"[{tile.start}, {tile.stop}); pass QueryOperands.for_tile(tile)"
+        )
+
 
 def query_text_distance_tile(
     operands: QueryOperands, tile: Tile
 ) -> np.ndarray:
     """``(q, tile.size)`` blended text distance, queries vs corpus rows.
 
-    Same blend/fallback semantics as :func:`text_distance_tile`, but with
-    no diagonal special case: a query is never assumed to *be* a corpus
+    ``operands`` is :meth:`QueryOperands.for_tile`'s cut.  Same
+    blend/fallback semantics as :func:`text_distance_tile`, but with no
+    diagonal special case: a query is never assumed to *be* a corpus
     document. Tiling runs over corpus rows, so the result is tile-size
     invariant by the same argument as the pairwise kernels.
     """
     corpus = operands.corpus
-    rows = slice(tile.start, tile.stop)
+    check_tile_cut(corpus, tile)
     cos_exact = np.asarray(
-        (operands.q_bow_normed @ corpus.bow_normed[rows].T).toarray()
+        (operands.q_bow_normed @ corpus.bow_normed.T).toarray()
     )
-    cos_soft = np.einsum(
-        "ik,jk->ij", operands.q_doc_emb, corpus.doc_emb[rows]
-    )
+    cos_soft = np.einsum("ik,jk->ij", operands.q_doc_emb, corpus.doc_emb)
 
-    zero_cols = np.flatnonzero(corpus.zero_rows[rows])
+    zero_cols = np.flatnonzero(corpus.zero_rows)
     if zero_cols.size:
         cos_soft[:, zero_cols] = cos_exact[:, zero_cols]
     zero_qs = np.flatnonzero(operands.q_zero_rows)
@@ -198,31 +231,31 @@ def query_jaccard_distance_tile(
 ) -> np.ndarray:
     """``(q, tile.size)`` URL-token Jaccard distance, queries vs corpus rows.
 
-    Query tokens outside the corpus vocabulary contribute to the union via
+    ``operands`` is :meth:`QueryOperands.for_tile`'s cut.  Query tokens
+    outside the corpus vocabulary contribute to the union via
     ``q_url_sizes`` but can never intersect, so the distance equals the
     exact set Jaccard. Empty-set conventions match
     :func:`jaccard_distance_tile`: both empty -> 0, one empty -> 1.
     """
     corpus = operands.corpus
-    rows = slice(tile.start, tile.stop)
-    n_rows = tile.size
+    check_tile_cut(corpus, tile)
     q = operands.n_queries
     if corpus.url_member.shape[1] == 0:
-        intersection = np.zeros((q, n_rows))
+        intersection = np.zeros((q, tile.size))
     else:
         intersection = np.asarray(
-            (operands.q_url_member @ corpus.url_member[rows].T).toarray()
+            (operands.q_url_member @ corpus.url_member.T).toarray()
         )
     union = (
         operands.q_url_sizes[:, None]
-        + corpus.url_sizes[rows][None, :]
+        + corpus.url_sizes[None, :]
         - intersection
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = 1.0 - np.where(
             union > 0, intersection / np.maximum(union, 1e-12), 1.0
         )
-    empty_cols = np.flatnonzero(corpus.url_empty[rows])
+    empty_cols = np.flatnonzero(corpus.url_empty)
     empty_qs = np.flatnonzero(operands.q_url_empty)
     if empty_cols.size and empty_qs.size:
         dist[np.ix_(empty_qs, empty_cols)] = 0.0
@@ -233,7 +266,7 @@ def query_jaccard_distance_tile(
 def query_distance_tile(operands: QueryOperands, tile: Tile) -> np.ndarray:
     """``(q, tile.size)`` combined distance, queries vs one corpus tile.
 
-    The combined distance is the unweighted mean of the text and URL
+    ``operands`` is :meth:`QueryOperands.for_tile`'s cut.  The combined distance is the unweighted mean of the text and URL
     distances, exactly as :func:`combined_distance_tile`'s caller builds
     ``total``. Pure and module-level, so an
     :class:`~repro.perf.plan.ExecutionPlan` may ship it across process

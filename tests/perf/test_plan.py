@@ -1,4 +1,10 @@
-"""Tile scheduling and execution-plan determinism."""
+"""Tile scheduling, execution-plan determinism and the kept pool."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,3 +122,83 @@ class TestExecutionDeterminism:
         assert next(stream) == 0
         assert seen == [0]
         assert list(stream) == [5, 10]
+
+
+#: This test process; any other pid running a kernel is a pool worker.
+_PARENT_PID = os.getpid()
+
+
+def exit_in_worker(payload, tile):
+    """Kills whichever pool worker runs it; computes in the parent."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(3)
+    return tile.start, tile.stop
+
+
+def tile_bounds(payload, tile):
+    return tile.start, tile.stop
+
+
+class TestKeptPool:
+    def test_streams_reuse_one_pool_and_broadcast_starts_its_own(
+        self, pools_started
+    ):
+        plan = ExecutionPlan(workers=2, tile_size=4)
+        tiles = plan.tiles(20)
+        expected = [(t.start, t.stop) for t in tiles]
+        for _ in range(3):
+            assert plan.run(tile_bounds, None, tiles) == expected
+        assert len(pools_started) == 1
+        assert plan.run(tile_bounds, None, tiles, broadcast=True) == expected
+        assert len(pools_started) == 2
+        assert pools_started[1] is not None  # the broadcast initializer
+        assert plan.run(tile_bounds, None, tiles) == expected
+        assert len(pools_started) == 2
+
+    def test_dead_worker_reruns_serially_and_next_stream_starts_a_pool(
+        self, pools_started
+    ):
+        plan = ExecutionPlan(workers=2, tile_size=3)
+        tiles = plan.tiles(20)
+        got = plan.run(exit_in_worker, None, tiles)
+        assert got == [(t.start, t.stop) for t in tiles]
+        assert len(pools_started) == 1
+        operands = tiny_operands()
+        ref = assemble(ExecutionPlan(tile_size=3), operands)
+        again = assemble(plan, operands)
+        assert again[0].tobytes() == ref[0].tobytes()
+        assert again[1].tobytes() == ref[1].tobytes()
+        assert len(pools_started) == 2
+
+    def test_no_worker_outlives_the_process(self):
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.perf import ExecutionPlan
+
+            def worker_pid(payload, tile):
+                return os.getpid()
+
+            plan = ExecutionPlan(workers=2, tile_size=1)
+            pids = set(plan.run(worker_pid, None, plan.tiles(16)))
+            print(*sorted(pids - {os.getpid()}))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        pids = [int(p) for p in done.stdout.split()]
+        assert pids, done.stdout
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

@@ -26,7 +26,11 @@ class TestTextSimProperties:
         assert (sim >= -1e-9).all() and (sim <= 1.0 + 1e-9).all()
         assert np.allclose(np.diag(sim), 1.0)
 
-    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(corpus_strategy, st.integers(0, 10))
     def test_duplicate_documents_are_identical(self, corpus, position):
         index = position % len(corpus)
